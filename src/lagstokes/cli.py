@@ -311,7 +311,7 @@ def _cmd_solve_nonlinear(cfg: RunConfig) -> int:
     write_csv(cfg.out_dir / "iteration_report.csv", {
         "iteration": np.array([r[0] for r in rows]),
         "contraction_factor": np.array([r[1] for r in rows]),
-        "residual": np.array([r[2] for r in rows]),
+        "picard_distance": np.array([r[2] for r in rows]),
     })
     _write_manifest(cfg, {"subcommand": "solve-nonlinear",
                           "mesh_hash": mesh.mesh_hash(),

@@ -124,8 +124,7 @@ def momentum_and_barycenter(traj: Trajectory, params: MaterialParams,
 
     if traj.lagrangian_maps is None:
         momenta = np.array([ws.momentum(s.uvec(), basis) for s in traj.states])
-        vol_flux = np.array([fem.field_integral(s.u) * 0 +
-                             _eta_velocity_integral(s.u, eta_c) for s in traj.states])
+        vol_flux = np.array([_eta_velocity_integral(s.u, eta_c) for s in traj.states])
         bary = np.empty((n, 2))
         bary[0] = _eta_position_integral(mesh, eta_c, None)
         for i in range(1, n):
@@ -166,7 +165,7 @@ def _lagrangian_momenta(u: Field, X: np.ndarray, basis, eta_c: np.ndarray) -> np
     out = np.empty(len(basis))
     for alpha, (A, b) in enumerate(basis.coeffs):
         p_at_x = X @ A.T + b
-        integrand = Field.from_nodal(mesh, u.plus() * 0 + p_at_x)
+        integrand = Field.from_nodal(mesh, p_at_x)
         out[alpha] = fem.field_inner(u, integrand, eta_c)
     return out
 
@@ -239,8 +238,13 @@ def discrete_spectrum(mesh, params: MaterialParams, count: int,
 
 
 def _principal_angles(ws: StokesWorkspace, basis, kvecs: np.ndarray) -> np.ndarray:
-    """Principal angles between the kernel eigenvectors and the rigid-motion
-    span, measured in the eta-weighted inner product."""
+    """Principal angles, ascending, between the kernel eigenvectors and the
+    rigid-motion span, measured in the eta-weighted inner product.
+
+    Small angles come from their sines, the M-norms of the kernel basis
+    after its rigid-span component is removed; the arccos of cosines near
+    1 cannot resolve angles below about 1e-8 (Knyazev & Argentati, SIAM J.
+    Sci. Comput. 23(6), 2002).  Large angles keep the cosine formula."""
     if kvecs.shape[1] == 0:
         return np.array([])
     p_mat = np.column_stack([fem.field_to_uvec(p) for p in basis.fields])
@@ -254,9 +258,14 @@ def _principal_angles(ws: StokesWorkspace, basis, kvecs: np.ndarray) -> np.ndarr
 
     pb = orthonormalize(p_mat)
     kb = orthonormalize(kvecs)
-    svals = np.linalg.svd(pb.T @ (ws.mass @ kb), compute_uv=False)
-    svals = np.clip(svals, -1.0, 1.0)
-    return np.arccos(svals)
+    cross = pb.T @ (ws.mass @ kb)
+    cosines = np.linalg.svd(cross, compute_uv=False)              # descending
+    # residual of the lower-dimensional basis against the other span
+    resid = kb - pb @ cross if kb.shape[1] <= pb.shape[1] else pb - kb @ cross.T
+    gram = resid.T @ (ws.mass @ resid)
+    sines = np.sqrt(np.maximum(np.linalg.eigvalsh(gram), 0.0))[:len(cosines)]   # ascending
+    return np.where(cosines ** 2 >= 0.5, np.arcsin(np.minimum(sines, 1.0)),
+                    np.arccos(np.clip(cosines, -1.0, 1.0)))
 
 
 # -- bootstrap lemma -----------------------------------------------------------

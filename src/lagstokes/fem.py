@@ -51,23 +51,21 @@ def n_udofs(mesh: RefMesh) -> int:
     return 2 * (mesh.n_nodes + mesh.n_cells)
 
 
-def nodal_udofs(mesh: RefMesh) -> int:
-    return 2 * mesh.n_nodes
-
-
 def nodal_to_uvec(mesh: RefMesh, nodal: np.ndarray) -> np.ndarray:
-    """Velocity dof vector from (n_nodes, 2) nodal values, zero bubbles."""
-    if nodal.shape != (mesh.n_nodes, 2):
-        raise ShapeError(f"expected ({mesh.n_nodes}, 2) nodal array")
-    vec = np.zeros(n_udofs(mesh))
-    vec[:2 * mesh.n_nodes] = nodal.ravel()
+    """Velocity dof vector from (n_nodes, 2) nodal values, zero bubbles; a
+    stack (n_steps, n_nodes, 2) gives one vector per step."""
+    if nodal.ndim > 3 or nodal.shape[-2:] != (mesh.n_nodes, 2):
+        raise ShapeError(f"expected ([n_steps,] {mesh.n_nodes}, 2) nodal array")
+    vec = np.zeros(nodal.shape[:-2] + (n_udofs(mesh),))
+    vec[..., :2 * mesh.n_nodes] = nodal.reshape(nodal.shape[:-2] + (-1,))
     return vec
 
 
 def uvec_nodal(mesh: RefMesh, vec: np.ndarray) -> np.ndarray:
     """(n_nodes, 2) nodal values of a velocity dof vector (bubbles vanish
-    at the vertices, so these are the pointwise nodal values)."""
-    return vec[:2 * mesh.n_nodes].reshape(mesh.n_nodes, 2)
+    at the vertices, so these are the pointwise nodal values); a stack of
+    vectors (n_steps, n_udofs) gives (n_steps, n_nodes, 2)."""
+    return vec[..., :2 * mesh.n_nodes].reshape(vec.shape[:-1] + (mesh.n_nodes, 2))
 
 
 def uvec_to_field(mesh: RefMesh, vec: np.ndarray) -> Field:
@@ -218,80 +216,85 @@ def facet_load(mesh: RefMesh, facet_nodes: np.ndarray, facet_lengths: np.ndarray
 
 
 def facet_inner(facet_nodes: np.ndarray, facet_lengths: np.ndarray,
-                fa: np.ndarray, fb: np.ndarray) -> float:
-    """Surface inner product of two P1-nodal (n_nodes, k) arrays."""
-    total = 0.0
-    for (a, b), length in zip(facet_nodes, facet_lengths):
-        em = _edge_mass(length)
-        va, vb = np.atleast_1d(fa[a]), np.atleast_1d(fa[b])
-        wa, wb = np.atleast_1d(fb[a]), np.atleast_1d(fb[b])
-        total += em[0, 0] * va @ wa + em[0, 1] * va @ wb \
-            + em[1, 0] * vb @ wa + em[1, 1] * vb @ wb
-    return float(total)
+                fa: np.ndarray, fb: np.ndarray):
+    """Surface inner product of two P1-nodal arrays (n_nodes,) or
+    (..., n_nodes, k); a leading stack axis gives one value per step."""
+    fa, fb = np.asarray(fa, dtype=float), np.asarray(fb, dtype=float)
+    if fa.ndim == 1:
+        fa, fb = fa[:, None], fb[:, None]
+    a, b = facet_nodes[:, 0], facet_nodes[:, 1]
+    va, vb = fa[..., a, :], fa[..., b, :]
+    wa, wb = fb[..., a, :], fb[..., b, :]
+    per_facet = np.sum(2.0 * va * wa + va * wb + vb * wa + 2.0 * vb * wb, axis=-1)
+    return _scalar_or_array(per_facet @ (facet_lengths / 6.0))
 
 
-def facet_l2(facet_nodes: np.ndarray, facet_lengths: np.ndarray, f: np.ndarray) -> float:
-    return float(np.sqrt(max(facet_inner(facet_nodes, facet_lengths, f, f), 0.0)))
+def facet_l2(facet_nodes: np.ndarray, facet_lengths: np.ndarray, f: np.ndarray):
+    return _sqrt_nonneg(facet_inner(facet_nodes, facet_lengths, f, f))
 
 
 # -- cell gradients and nodal recovery --------------------------------------
 
+def apply_sparse(op: sp.spmatrix, arr: np.ndarray, axis: int) -> np.ndarray:
+    """Sparse ``op`` applied along ``axis`` of ``arr``, with every other axis
+    (a stack of time steps, field components) batched into one product."""
+    moved = np.moveaxis(arr, axis, 0)
+    out = op @ moved.reshape(moved.shape[0], -1)
+    return np.moveaxis(out.reshape((op.shape[0],) + moved.shape[1:]), 0, axis)
+
+
 def cell_gradients(field: Field) -> np.ndarray:
     """Exact cellwise Jacobian of a P1 field: (nc, ncomp, 2) with
-    G[c, j, k] = d f^j / d xi_k on cell c."""
+    G[c, j, k] = d f^j / d xi_k on cell c; a field stack gives
+    (n_steps, nc, ncomp, 2)."""
     mesh = field.mesh
-    vals = field.values[mesh.cell_sdofs]            # (nc, 3, ncomp)
-    return np.einsum("cav,cak->cvk", vals, mesh.grads)
+    g = apply_sparse(mesh.gradient_operator, field.values, -2)     # (..., 2 nc, ncomp)
+    return np.swapaxes(g.reshape(g.shape[:-2] + (mesh.n_cells, 2, field.ncomp)), -1, -2)
 
 
 def cell_values(field: Field) -> np.ndarray:
-    """Cell-centroid values of a P1 field, (nc, ncomp)."""
-    return field.values[field.mesh.cell_sdofs].mean(axis=1)
-
-
-def recover_nodal(mesh: RefMesh, cell_data: np.ndarray) -> np.ndarray:
-    """Volume-weighted average of cellwise data onto scalar dofs.
-
-    Each cell contributes to its own-side dofs, so interface nodes receive
-    separate plus/minus traces.  Returns (nsdof, ...) matching the trailing
-    shape of ``cell_data``; deterministic accumulation in cell order.
-    """
-    trail = cell_data.shape[1:]
-    acc = np.zeros((mesh.nsdof,) + trail)
-    wsum = np.zeros(mesh.nsdof)
-    w = mesh.areas
-    for a in range(3):
-        dofs = mesh.cell_sdofs[:, a]
-        np.add.at(acc, dofs, cell_data * w.reshape((-1,) + (1,) * len(trail)))
-        np.add.at(wsum, dofs, w)
-    return acc / wsum.reshape((-1,) + (1,) * len(trail))
+    """Cell-centroid values of a P1 field, ([n_steps,] nc, ncomp)."""
+    return field.values[..., field.mesh.cell_sdofs, :].mean(axis=-2)
 
 
 def recover_gradient(field: Field) -> np.ndarray:
     """Nodal Jacobian recovery: cellwise differentiation then volume-weighted
-    per-phase averaging; exact for globally linear fields."""
-    return recover_nodal(field.mesh, cell_gradients(field))
+    per-phase averaging; exact for globally linear fields.  Returns
+    (nsdof, ncomp, 2), or (n_steps, nsdof, ncomp, 2) for a field stack."""
+    return apply_sparse(field.mesh.recovery_operator, cell_gradients(field), -3)
 
 
 # -- norms -------------------------------------------------------------------
 
-def field_l2(field: Field, weight_per_cell: np.ndarray | None = None) -> float:
+def _scalar_or_array(x: np.ndarray):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _sqrt_nonneg(x):
+    return _scalar_or_array(np.sqrt(np.maximum(x, 0.0)))
+
+
+# The norms below return a float for a field and an array with one value
+# per step for a field stack.
+
+def field_l2(field: Field, weight_per_cell: np.ndarray | None = None):
     mesh = field.mesh
     w = mesh.areas if weight_per_cell is None else mesh.areas * weight_per_cell
-    vals = field.values[mesh.cell_sdofs]            # (nc, 3, ncomp)
-    em = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    sq = np.einsum("cav,ab,cbv->c", vals, em, vals)
-    return float(np.sqrt(max(np.dot(w, sq), 0.0)))
+    vals = field.values[..., mesh.cell_sdofs, :]      # (..., nc, 3, ncomp)
+    # P1 element mass (1 + delta_ab) / 12 applied over the three vertices
+    em_vals = (vals.sum(axis=-2, keepdims=True) + vals) / 12.0
+    sq = np.sum(vals * em_vals, axis=(-2, -1))
+    return _sqrt_nonneg(sq @ w)
 
 
-def field_h1_semi(field: Field) -> float:
+def field_h1_semi(field: Field):
     g = cell_gradients(field)
-    sq = np.einsum("cvk,cvk->c", g, g)
-    return float(np.sqrt(max(np.dot(field.mesh.areas, sq), 0.0)))
+    sq = np.sum(g * g, axis=(-2, -1))
+    return _sqrt_nonneg(sq @ field.mesh.areas)
 
 
-def field_h1(field: Field) -> float:
-    return float(np.hypot(field_l2(field), field_h1_semi(field)))
+def field_h1(field: Field):
+    return _scalar_or_array(np.hypot(field_l2(field), field_h1_semi(field)))
 
 
 def field_integral(field: Field) -> np.ndarray:
@@ -310,12 +313,12 @@ def field_inner(fa: Field, fb: Field, weight_per_cell: np.ndarray | None = None)
     return float(np.dot(w, np.einsum("cav,ab,cbv->c", va, em, vb)))
 
 
-def hessian_seminorm(field: Field) -> float:
+def hessian_seminorm(field: Field):
     """L2 norm of the cellwise gradient of the recovered Jacobian; the
     second-difference surrogate used in trajectory norms."""
     mesh = field.mesh
-    g = recover_gradient(field)                       # (nsdof, ncomp, 2)
-    flat = Field(mesh, field.ncomp * 2, g.reshape(mesh.nsdof, -1))
+    g = recover_gradient(field)                       # (..., nsdof, ncomp, 2)
+    flat = Field(mesh, field.ncomp * 2, g.reshape(g.shape[:-2] + (-1,)))
     return field_h1_semi(flat)
 
 

@@ -21,7 +21,7 @@ from . import fem, kernel
 from .errors import (DomainError, GeometryError, NonContractionError,
                      ParameterError, ValidationError)
 from .mesh import Field
-from .stepper import StokesData, StokesState, StokesWorkspace, Trajectory, run_linear
+from .stepper import StokesState, StokesWorkspace, Trajectory, run_linear
 from .transmission import MaterialParams, helmholtz_project, project_out_rigid, rigid_momenta
 
 
@@ -187,7 +187,8 @@ def cutoff_extension(values: np.ndarray, dt: float, T: float,
 
 @dataclass
 class NonlinearRHS:
-    """The five data fields of the Stokes-like reformulation at one time.
+    """The five data fields of the Stokes-like reformulation at one time, or
+    at a stack of times (every array and field then has a leading axis).
 
     The stress difference T(u,q) - T_A(u,q) A enters the momentum equation
     weakly (``stress`` per cell, applied through the integration-by-parts
@@ -202,7 +203,7 @@ class NonlinearRHS:
     stress traces cancel exactly instead of through two discretizations.
     """
 
-    t: float
+    t: float                           # or (n_steps,) for a stack
     stress: np.ndarray                 # (nc, 2, 2)
     g: Field
     R: Field
@@ -212,12 +213,9 @@ class NonlinearRHS:
     j_outer: np.ndarray                # (n_outer_facets, 2)
     f_ext: Field | None = None
 
-    def to_stokes_data(self) -> StokesData:
-        return StokesData(f=self.f_ext, g=self.g, R=self.R,
-                          h=self.h_jump, k=self.k, stress_ibp=self.stress)
-
     def compatibility_residual(self) -> float:
-        """|(g, 1) - boundary flux of R|: the divergence-form identity.
+        """|(g, 1) - boundary flux of R| at a single time: the
+        divergence-form identity.
 
         The flux uses exact facet normals, so the identity holds to
         roundoff for linear R with matching constant g."""
@@ -233,77 +231,109 @@ class NonlinearRHS:
         return abs(total_g - flux)
 
 
-def compute_nonlinear_terms(u_hist: list, q_hist: list, A: kernel.CofactorField,
+def _history(hist, n: int):
+    """Mesh and the values of the last (up to) ``n`` entries of a list of
+    fields or of a field stack, as (n, nsdof, ncomp)."""
+    if isinstance(hist, Field):
+        vals = hist.values if hist.values.ndim == 3 else hist.values[None]
+        return hist.mesh, vals[-n:]
+    return hist[-1].mesh, np.stack([f.values for f in hist[-n:]])
+
+
+def compute_nonlinear_terms(u_hist, q_hist, A: kernel.CofactorField,
                             params: MaterialParams, dt: float,
                             rho0: Field | None = None, f_ext=None,
                             X: np.ndarray | None = None,
-                            eval_time: float = 0.0,
+                            eval_time=0.0,
                             mu_nodal: Field | None = None) -> NonlinearRHS:
-    """Assemble the nonlinear data at the time of the last history entry.
+    """Assemble the nonlinear data at the last times of a history.
 
     ``u_hist`` and ``q_hist`` are the velocity/pressure fields up to the
-    evaluation time (at least one entry; two are needed for the time
-    derivative when the density differs from eta).  The divergence parts
-    use nodal recovered Jacobians; the momentum source is produced in weak
-    form from exact cellwise gradients, never by second differentiation.
-    ``f_ext`` is called as f(x, y, t) at the mapped positions ``X``;
-    ``mu_nodal`` tabulates a smooth viscosity mu(rho0) nodewise, replacing
-    the piecewise-constant coefficients of ``params``.
+    evaluation time, oldest first, as lists of fields or field stacks.  A
+    single-time cofactor ``A`` evaluates the last entry; a cofactor stack
+    evaluates the last ``len(A.mats)`` entries in one pass, and the result
+    then carries the same leading axis (``X`` and ``eval_time`` give one
+    entry per evaluated time).  Each evaluated entry's predecessor in the
+    history supplies the time derivative needed when the density differs
+    from eta.  The divergence parts use nodal recovered Jacobians; the
+    momentum source is produced in weak form from exact cellwise gradients,
+    never by second differentiation.  ``f_ext`` is called as f(x, y, t) at
+    the mapped positions ``X``; ``mu_nodal`` tabulates a smooth viscosity
+    mu(rho0) nodewise, replacing the piecewise-constant coefficients of
+    ``params``.
     """
-    u, q = u_hist[-1], q_hist[-1]
-    mesh = u.mesh
+    single = A.mats.ndim == 3
+    A_n = A.mats[None] if single else A.mats            # (k, nsdof, 2, 2)
+    n_eval = len(A_n)
+    mesh, hist = _history(u_hist, n_eval + 1)
     if A.mesh is not mesh:
         _raise_shape()
+    if len(hist) < n_eval:
+        _raise_shape("history is shorter than the cofactor stack")
+    u_vals = hist[-n_eval:]
+    q_vals = _history(q_hist, n_eval)[1]
+    u = Field(mesh, 2, u_vals)
+    q = Field(mesh, 1, q_vals)
     mu_c = params.mu_cells(mesh) if mu_nodal is None \
         else fem.cell_values(mu_nodal)[:, 0]
 
     # cellwise exact quantities for the weak momentum source
-    G_c = fem.cell_gradients(u)                        # (nc, 2, 2)
-    q_c = fem.cell_values(q)[:, 0]
-    A_c = A.mats[mesh.cell_sdofs].mean(axis=1)
-    Gt_c = np.swapaxes(G_c, 1, 2)
-    At_c = np.swapaxes(A_c, 1, 2)
+    G_c = fem.cell_gradients(u)                        # (k, nc, 2, 2)
+    q_c = fem.cell_values(q)[..., 0]
+    A_c = A_n[:, mesh.cell_sdofs].mean(axis=2)
+    Gt_c = np.swapaxes(G_c, -1, -2)
+    At_c = np.swapaxes(A_c, -1, -2)
     D_c = G_c + Gt_c
-    Du_c = np.einsum("cij,cjk->cik", G_c, At_c) + np.einsum("cij,cjk->cik", A_c, Gt_c)
+    Du_c = kernel.mul2x2(G_c, At_c) + kernel.mul2x2(A_c, Gt_c)
     eye = np.eye(2)
-    T_c = mu_c[:, None, None] * D_c - q_c[:, None, None] * eye
-    Tu_c = mu_c[:, None, None] * Du_c - q_c[:, None, None] * eye
-    stress = T_c - np.einsum("cij,cjk->cik", Tu_c, A_c)
+    T_c = mu_c[:, None, None] * D_c - q_c[..., None, None] * eye
+    Tu_c = mu_c[:, None, None] * Du_c - q_c[..., None, None] * eye
+    stress = T_c - kernel.mul2x2(Tu_c, A_c)
 
     # nodal recovered quantities for the divergence data
-    G_n = fem.recover_gradient(u)                      # (nsdof, 2, 2)
-    ImAt = np.swapaxes(_eye_minus(A.mats), 1, 2)
-    g_vals = np.einsum("nij,nji->n", G_n, ImAt)        # tr(G (I - A^T))
-    g = Field(mesh, 1, g_vals[:, None])
-    u_dof = u.values                                   # (nsdof, 2)
-    R = Field(mesh, 2, np.einsum("nij,nj->ni", ImAt, u_dof))
+    G_n = fem.recover_gradient(u)                      # (k, nsdof, 2, 2)
+    ImAt = np.swapaxes(_eye_minus(A_n), -1, -2)
+    GI = kernel.mul2x2(G_n, ImAt)
+    g_vals = GI[..., 0, 0] + GI[..., 1, 1]                # tr(G (I - A^T))
+    R_vals = kernel.apply2x2(ImAt, u_vals)
 
     # interface and outer traction defects from nodal traces
-    nbar = kernel.pushforward_normal(A, mesh)
+    nbar = kernel.pushforward_normal(kernel.CofactorField(mesh, A_n), mesh)
     mu_s = params.mu_sdofs(mesh) if mu_nodal is None else mu_nodal.values[:, 0]
-    q_dof = q.values[:, 0]
-    h_jump = _traction_defect_jump(mesh, G_n, A.mats, q_dof, mu_s, nbar)
-    k = _outer_traction_defect(mesh, G_n, A.mats, q_dof, mu_s, nbar)
+    q_dof = q_vals[..., 0]
+    h_jump = _traction_defect_jump(mesh, G_n, A_n, q_dof, mu_s, nbar)
+    k = _outer_traction_defect(mesh, G_n, A_n, q_dof, mu_s, nbar)
     j_gamma, j_outer = _facet_corrections(mesh, Tu_c, A_c)
 
-    f_field = None
+    f_vals = None
     if rho0 is not None or f_ext is not None:
         eta_s = params.eta_sdofs(mesh)
-        acc = np.zeros((mesh.nsdof, 2))
+        acc = np.zeros(u_vals.shape)
         if f_ext is not None:
             # compose the force with the Lagrangian map by nodal interpolation
-            pos = mesh.nodes if X is None else X
-            fvals = np.array([np.atleast_1d(f_ext(x, y, eval_time)) for x, y in pos],
-                             dtype=float)
+            pos = np.broadcast_to(mesh.nodes if X is None else X, (n_eval, mesh.n_nodes, 2))
+            times = np.broadcast_to(eval_time, (n_eval,))
+            fvals = np.array([[np.atleast_1d(f_ext(x, y, t)) for x, y in pos_t]
+                              for pos_t, t in zip(pos, times)], dtype=float)
             fnod = Field.from_nodal(mesh, fvals)
             rho_vals = eta_s if rho0 is None else rho0.values[:, 0]
             acc += rho_vals[:, None] * fnod.values
-        if rho0 is not None and len(u_hist) >= 2:
-            dudt = (u_hist[-1].values - u_hist[-2].values) / dt
-            acc += (eta_s - rho0.values[:, 0])[:, None] * dudt
-        f_field = Field(mesh, 2, acc / eta_s[:, None])
-    return NonlinearRHS(t=eval_time, stress=stress, g=g, R=R, h_jump=h_jump, k=k,
-                        j_gamma=j_gamma, j_outer=j_outer, f_ext=f_field)
+        if rho0 is not None and len(hist) >= 2:
+            dudt = np.diff(hist, axis=0) / dt
+            acc[n_eval - len(dudt):] += (eta_s - rho0.values[:, 0])[:, None] * dudt
+        f_vals = acc / eta_s[:, None]
+
+    pick = (lambda a: a[0]) if single else (lambda a: a)
+    return NonlinearRHS(t=eval_time, stress=pick(stress),
+                        g=Field(mesh, 1, pick(g_vals[..., None])),
+                        R=Field(mesh, 2, pick(R_vals)),
+                        h_jump=pick(h_jump), k=pick(k),
+                        j_gamma=pick(j_gamma), j_outer=pick(j_outer),
+                        f_ext=None if f_vals is None else Field(mesh, 2, pick(f_vals)))
+
+
+def _unit(vec: np.ndarray) -> np.ndarray:
+    return vec / np.linalg.norm(vec, axis=-1, keepdims=True)
 
 
 def _facet_corrections(mesh, Tu_c: np.ndarray, A_c: np.ndarray):
@@ -312,48 +342,44 @@ def _facet_corrections(mesh, Tu_c: np.ndarray, A_c: np.ndarray):
     pushforward normal uses the facet-averaged cofactor so it stays
     single-valued on the interface."""
     ni = mesh.n_interface_facets
-    j_gamma = np.zeros((ni, 2))
-    for kf, (a, b, cp, cm) in enumerate(mesh.interface_facets):
-        n = mesh.facet_normals[kf]
-        an_p = A_c[cp] @ n
-        an_m = A_c[cm] @ n
-        avg = 0.5 * (an_p + an_m)
-        nbar = avg / np.linalg.norm(avg)
-        j_gamma[kf] = Tu_c[cp] @ (an_p - nbar) - Tu_c[cm] @ (an_m - nbar)
-    no = len(mesh.outer_facets)
-    j_outer = np.zeros((no, 2))
-    for kf, (a, b, c) in enumerate(mesh.outer_facets):
-        n = mesh.facet_normals[ni + kf]
-        an = A_c[c] @ n
-        nbar = an / np.linalg.norm(an)
-        j_outer[kf] = Tu_c[c] @ (an - nbar)
+    cp, cm = mesh.interface_facets[:, 2], mesh.interface_facets[:, 3]
+    apply = kernel.apply2x2
+    n = mesh.facet_normals[:ni]
+    an_p = apply(A_c[..., cp, :, :], n)
+    an_m = apply(A_c[..., cm, :, :], n)
+    nbar = _unit(0.5 * (an_p + an_m))
+    j_gamma = apply(Tu_c[..., cp, :, :], an_p - nbar) - apply(Tu_c[..., cm, :, :], an_m - nbar)
+    co = mesh.outer_facets[:, 2]
+    an = apply(A_c[..., co, :, :], mesh.facet_normals[ni:])
+    j_outer = apply(Tu_c[..., co, :, :], an - _unit(an))
     return j_gamma, j_outer
 
 
-def _raise_shape():
+def _raise_shape(msg: str = "cofactor field and velocity live on different meshes"):
     from .errors import ShapeError
-    raise ShapeError("cofactor field and velocity live on different meshes")
+    raise ShapeError(msg)
 
 
 def _eye_minus(mats: np.ndarray) -> np.ndarray:
     out = -mats.copy()
-    out[:, 0, 0] += 1.0
-    out[:, 1, 1] += 1.0
+    out[..., 0, 0] += 1.0
+    out[..., 1, 1] += 1.0
     return out
 
 
 def _nodal_traction(G_n, A, q_dof, mu_s, sdofs, n_fixed, n_bar):
-    """T(u,q) n - T_A(u,q) nbar at the given scalar dofs."""
-    G = G_n[sdofs]
-    Amat = A[sdofs]
-    Gt = np.swapaxes(G, 1, 2)
-    At = np.swapaxes(Amat, 1, 2)
+    """T(u,q) n - T_A(u,q) nbar at the given scalar dofs, per time of the
+    stacks G_n, A, q_dof, n_bar."""
+    G = G_n[:, sdofs]
+    Amat = A[:, sdofs]
+    Gt = np.swapaxes(G, -1, -2)
+    At = np.swapaxes(Amat, -1, -2)
     D = G + Gt
-    Du = np.einsum("nij,njk->nik", G, At) + np.einsum("nij,njk->nik", Amat, Gt)
-    mu = mu_s[sdofs][:, None, None]
-    q = q_dof[sdofs][:, None]
-    t_n = mu[:, :, 0] * np.einsum("nij,nj->ni", D, n_fixed) - q * n_fixed
-    tu_nb = mu[:, :, 0] * np.einsum("nij,nj->ni", Du, n_bar) - q * n_bar
+    Du = kernel.mul2x2(G, At) + kernel.mul2x2(Amat, Gt)
+    mu = mu_s[sdofs][:, None]
+    q = q_dof[:, sdofs][..., None]
+    t_n = mu * kernel.apply2x2(D, n_fixed) - q * n_fixed
+    tu_nb = mu * kernel.apply2x2(Du, n_bar) - q * n_bar
     return t_n - tu_nb
 
 
@@ -373,57 +399,48 @@ def _outer_traction_defect(mesh, G_n, A, q_dof, mu_s, nbar) -> np.ndarray:
 
 # -- trajectory norms ------------------------------------------------------------
 
-def trajectory_norm(u_fields: list, q_fields: list, dt: float, p: float) -> float:
-    """Computable surrogate of the maximal-regularity trajectory norm:
-    sup-in-time H1 of u, plus L_p-in-time of the step increments / dt,
-    the recovered second differences, and the pressure gradient."""
-    sup = max(fem.field_h1(u) for u in u_fields)
-    inc, hess, prs = [], [], []
-    for m in range(1, len(u_fields)):
-        inc.append(fem.field_l2(u_fields[m] - u_fields[m - 1]) / dt)
-    for m in range(len(u_fields)):
-        hess.append(fem.hessian_seminorm(u_fields[m]))
-    for qf in q_fields:
-        prs.append(fem.field_h1_semi(qf))
-
-    def lp(vals):
-        vals = np.asarray(vals, dtype=float)
-        return float((dt * np.sum(vals ** p)) ** (1.0 / p)) if len(vals) else 0.0
-
-    return sup + lp(inc) + lp(hess) + lp(prs)
+def _lp(vals, dt: float, p: float) -> float:
+    """Discrete L_p-in-time norm (dt sum |v|^p)^(1/p); 0 without samples."""
+    vals = np.asarray(vals, dtype=float)
+    return float((dt * np.sum(vals ** p)) ** (1.0 / p)) if vals.size else 0.0
 
 
-def _xi_norms(mesh, u_fields, h_jumps, k_fields, params, dt, p) -> tuple[float, float]:
+def trajectory_norm(u: Field, q: Field, dt: float, p: float) -> float:
+    """Computable surrogate of the maximal-regularity trajectory norm of the
+    velocity and pressure field stacks u and q: sup-in-time H1 of u, plus
+    L_p-in-time of the step increments / dt, the recovered second
+    differences, and the pressure gradient."""
+    inc = fem.field_l2(u[1:] - u[:-1]) / dt
+    return (float(np.max(fem.field_h1(u))) + _lp(inc, dt, p)
+            + _lp(fem.hessian_seminorm(u), dt, p) + _lp(fem.field_h1_semi(q), dt, p))
+
+
+def _xi_norms(mesh, u: Field, rhs: NonlinearRHS | None, params, dt, p) -> tuple[float, float]:
     """L_p-in-time of the surface L2 norms of the normal-stress residuals
-    Xi = (mu D(u) n) . n - h . n on Gamma and its outer analogue."""
-    from .transmission import _expand_gamma, _expand_outer
+    Xi = (mu D(u) n) . n - h . n on Gamma and its outer analogue, over the
+    field stack u (steps 0..n); the traction data ``rhs`` cover steps 1..n."""
     mu_s = params.mu_sdofs(mesh)
-    gl = mesh.facet_lengths[:mesh.n_interface_facets]
-    ol = mesh.facet_lengths[mesh.n_interface_facets:]
-    xi_series, xio_series = [], []
-    for m, u in enumerate(u_fields):
-        G = fem.recover_gradient(u)
-        D = G + np.swapaxes(G, 1, 2)
-        gn, on = mesh.gamma_nodes, mesh.gamma_plus_nodes
-        nrm, onrm = mesh.node_normals_gamma, mesh.node_normals_outer
-        sd = mesh.sdof_plus[gn]
-        xi = mu_s[sd] * np.einsum("ni,nij,nj->n", nrm, D[sd], nrm)
-        if h_jumps is not None and h_jumps[m] is not None:
-            xi = xi - np.einsum("nk,nk->n", h_jumps[m], nrm)
-        osd = mesh.sdof_minus[on] if mesh.outer_phase < 0 else mesh.sdof_plus[on]
-        xio = mu_s[osd] * np.einsum("ni,nij,nj->n", onrm, D[osd], onrm)
-        if k_fields is not None and k_fields[m] is not None:
-            xio = xio - np.einsum("nk,nk->n", k_fields[m], onrm)
-        xi_series.append(fem.facet_l2(mesh.interface_facets[:, :2], gl,
-                                      _expand_gamma(mesh, xi)))
-        xio_series.append(fem.facet_l2(mesh.outer_facets[:, :2], ol,
-                                       _expand_outer(mesh, xio)))
+    G = fem.recover_gradient(u)
+    D = G + np.swapaxes(G, -1, -2)
+    gn, on = mesh.gamma_nodes, mesh.gamma_plus_nodes
+    nrm, onrm = mesh.node_normals_gamma, mesh.node_normals_outer
+    sd = mesh.sdof_plus[gn]
+    xi = mu_s[sd] * np.sum(nrm * kernel.apply2x2(D[:, sd], nrm), axis=-1)
+    osd = mesh.sdof_minus[on] if mesh.outer_phase < 0 else mesh.sdof_plus[on]
+    xio = mu_s[osd] * np.sum(onrm * kernel.apply2x2(D[:, osd], onrm), axis=-1)
+    if rhs is not None:
+        xi[1:] -= np.sum(rhs.h_jump * nrm, axis=-1)
+        xio[1:] -= np.sum(rhs.k * onrm, axis=-1)
 
-    def lp(vals):
-        vals = np.asarray(vals, dtype=float)
-        return float((dt * np.sum(vals ** p)) ** (1.0 / p)) if len(vals) else 0.0
+    def surface_norms(vals, nodes, facets, lengths):
+        full = np.zeros((len(vals), mesh.n_nodes, 1))
+        full[:, nodes, 0] = vals
+        return fem.facet_l2(facets[:, :2], lengths, full)
 
-    return lp(xi_series), lp(xio_series)
+    ni = mesh.n_interface_facets
+    xi_series = surface_norms(xi, gn, mesh.interface_facets, mesh.facet_lengths[:ni])
+    xio_series = surface_norms(xio, on, mesh.outer_facets, mesh.facet_lengths[ni:])
+    return _lp(xi_series, dt, p), _lp(xio_series, dt, p)
 
 
 # -- the Picard loop --------------------------------------------------------------
@@ -452,24 +469,24 @@ class IterationReport:
         return rows
 
 
-def _build_geometry(mesh, u_fields, dt, cfg, C0=None, grad0=None):
-    """Accumulated displacement gradients and cofactors along a trajectory.
+def _build_geometry(mesh, u: Field, dt, cfg, C0=None):
+    """Accumulated displacement gradients and cofactors along the field
+    stack u (steps 0..n), in one pass over the stack.
 
-    Returns (C_list, A_list, kappa_max); C0 carries prior accumulation for
-    continued runs and grad0 seeds the trapezoid left endpoint.
+    Returns (C at step n, cofactor stack for steps 0..n, kappa_max); C0
+    carries prior accumulation for continued runs, and otherwise the
+    gradient at step 0 seeds the trapezoid left endpoint.
     """
-    C = (C0.copy() if C0 is not None else kernel.DisplacementGradient(mesh))
+    grads = fem.recover_gradient(u)
+    C = C0 if C0 is not None else kernel.DisplacementGradient(mesh)
     if C._last_grad is None:
-        C.seed_left_endpoint(fem.recover_gradient(u_fields[0]) if grad0 is None else grad0)
-    C_list, A_list = [C], [kernel.neumann_cofactor(C, kappa=cfg.kappa_cap)]
-    kappa_max = A_list[0].kappa
-    for m in range(1, len(u_fields)):
-        C = kernel.accumulate_gradient(C, fem.recover_gradient(u_fields[m]), dt)
-        A = kernel.neumann_cofactor(C, kappa=cfg.kappa_cap)
-        kappa_max = max(kappa_max, A.kappa)
-        C_list.append(C)
-        A_list.append(A)
-    return C_list, A_list, kappa_max
+        C = C.copy()
+        C.seed_left_endpoint(grads[0])
+    C_steps = kernel.accumulate_gradient(C, grads[1:], dt)
+    A = kernel.neumann_cofactor(
+        kernel.DisplacementGradient(mesh, np.concatenate([C.mats[None], C_steps.mats])),
+        kappa=cfg.kappa_cap)
+    return C_steps.last(), A, A.kappa
 
 
 def picard_solve_local(v0: Field, cfg: IterationConfig, params: MaterialParams,
@@ -488,7 +505,9 @@ def picard_solve_local(v0: Field, cfg: IterationConfig, params: MaterialParams,
     smallness conditions, and the Picard map (geometry from the previous
     iterate, one linear solve per iterate) runs until the successive
     trajectory distance falls below tolerance.  The horizon is halved when
-    the series region or the contraction target is violated.
+    the series region or the contraction target is violated.  It takes at
+    least ``cfg.min_steps`` steps but never runs past ``cfg.horizon``
+    (rounded to the time grid).
 
     ``rho0`` (initial density), ``f_ext(x, y, t)`` (external force, composed
     with the Lagrangian map) and ``mu_nodal`` (tabulated smooth viscosity)
@@ -504,22 +523,26 @@ def picard_solve_local(v0: Field, cfg: IterationConfig, params: MaterialParams,
     if C0 is None:
         v0, _ = helmholtz_project(v0, params)
 
-    # horizon from the measured linear bound
-    cap = min(cfg.horizon, 1.0)
-    n_cap = max(int(round(cap / cfg.dt)), cfg.min_steps)
+    # horizon from the measured linear bound; every attempt takes its linear
+    # part from the leading states of this run
+    n_hor = max(int(round(cfg.horizon / cfg.dt)), 1)
+    n_cap = max(min(n_hor, int(round(1.0 / cfg.dt))), cfg.min_steps)
     lin = run_linear(v0, n_cap, cfg.dt, params, workspace=ws, bubble0=bubble0)
+    lin_u = Field.stack([s.u for s in lin.states])
+    lin_q = Field.stack([s.q for s in lin.states])
+    lin_vecs = np.stack([s.uvec() for s in lin.states])
     L = cfg.L_bound
     if L <= 0:
-        L = max(trajectory_norm([s.u for s in lin.states],
-                                [s.q for s in lin.states], cfg.dt, cfg.p), 1e-12)
+        L = max(trajectory_norm(lin_u, lin_q, cfg.dt, cfg.p), 1e-12)
     T = min(select_local_T(L, cfg.exponents, cfg.p, cfg.C_cal), cfg.horizon)
-    n_steps = max(int(math.ceil(T / cfg.dt - 1e-12)), cfg.min_steps)
+    n_steps = min(max(int(math.ceil(T / cfg.dt - 1e-12)), cfg.min_steps), n_cap, n_hor)
     halvings = 0
 
     while True:
+        head = slice(0, n_steps + 1)
         try:
-            result = _picard_attempt(v0, cfg, params, ws, n_steps, C0, X0, t0,
-                                     rho0, f_ext, mu_nodal, bubble0)
+            result = _picard_attempt(lin_u[head], lin_q[head], lin_vecs[head], cfg, params,
+                                     ws, C0, X0, t0, rho0, f_ext, mu_nodal)
         except (GeometryError, NonContractionError):
             if n_steps // 2 < cfg.min_steps:
                 raise
@@ -540,50 +563,49 @@ def picard_solve_local(v0: Field, cfg: IterationConfig, params: MaterialParams,
         halvings += 1
 
 
-def _lagrangian_maps(mesh, u_fields, dt, X0):
-    """Nodal particle positions X = xi + int u dtau (trapezoid) per step."""
-    X = mesh.nodes.copy() if X0 is None else X0.copy()
-    maps = [X.copy()]
-    for m in range(1, len(u_fields)):
-        X = X + 0.5 * dt * (u_fields[m - 1].plus() + u_fields[m].plus())
-        maps.append(X.copy())
-    return maps
+def _lagrangian_maps(mesh, u: Field, dt, X0) -> np.ndarray:
+    """Nodal particle positions X = xi + int u dtau (trapezoid) at every
+    step of the field stack u, (n_steps, n_nodes, 2)."""
+    X = mesh.nodes if X0 is None else X0
+    up = u.plus()
+    return np.cumsum(np.concatenate([X[None], 0.5 * dt * (up[:-1] + up[1:])]), axis=0)
 
 
-def _picard_attempt(v0, cfg, params, ws, n_steps, C0, X0, t0, rho0, f_ext,
-                    mu_nodal=None, bubble0=None):
-    mesh = v0.mesh
-    dt = cfg.dt
-    lin = run_linear(v0, n_steps, dt, params, workspace=ws, bubble0=bubble0)
-    uL = [s.u for s in lin.states]
-    qL = [s.q for s in lin.states]
-    uL_vecs = [s.uvec() for s in lin.states]
+def _trajectory_terms(u: Field, q: Field, A: kernel.CofactorField, maps, params, dt,
+                      t0, rho0, f_ext, mu_nodal) -> NonlinearRHS:
+    """Nonlinear data at steps 1..n of the stacks u, q and A (steps 0..n),
+    in one evaluation."""
+    n = len(A.mats) - 1
+    return compute_nonlinear_terms(u, q, A[1:], params, dt, rho0=rho0, f_ext=f_ext,
+                                   X=None if maps is None else maps[1:],
+                                   eval_time=t0 + dt * np.arange(1, n + 1),
+                                   mu_nodal=mu_nodal)
 
-    U = [Field.zeros(mesh, 2) for _ in range(n_steps + 1)]
-    Q = [Field.zeros(mesh, 1) for _ in range(n_steps + 1)]
-    U_vecs = [np.zeros(ws.nu) for _ in range(n_steps + 1)]
+
+def _picard_attempt(lin_u, lin_q, lin_vecs, cfg, params, ws, C0, X0, t0, rho0, f_ext,
+                    mu_nodal):
+    """Picard iteration on the horizon of the linear stacks (steps 0..n);
+    each iterate evaluates its geometry and nonlinear data over the whole
+    stack at once, and only the backward-Euler solves run step by step."""
+    mesh = ws.mesh
+    dt, p = cfg.dt, cfg.p
+    n_steps = len(lin_vecs) - 1
+    terms = dict(params=params, dt=dt, t0=t0, rho0=rho0, f_ext=f_ext, mu_nodal=mu_nodal)
+
+    U = Field(mesh, 2, np.zeros_like(lin_u.values))
+    Q = Field(mesh, 1, np.zeros_like(lin_q.values))
+    U_vecs = np.zeros_like(lin_vecs)
     distances, factors = [], []
-    scale = max(trajectory_norm(uL, qL, dt, cfg.p), 1e-12)
+    scale = max(trajectory_norm(lin_u, lin_q, dt, p), 1e-12)
     converged = False
-    kappa_max = 0.0
-    rhs_list = None
 
     for it in range(cfg.max_iters):
-        W = [uL[m] + U[m] for m in range(n_steps + 1)]
-        Th = [qL[m] + Q[m] for m in range(n_steps + 1)]
-        _, A_list, kappa_max = _build_geometry(mesh, W, dt, cfg, C0)
+        W, Th = lin_u + U, lin_q + Q
+        _, A, _ = _build_geometry(mesh, W, dt, cfg, C0)
         maps = _lagrangian_maps(mesh, W, dt, X0) if f_ext is not None else None
-        rhs_list = []
-        for m in range(1, n_steps + 1):
-            rhs = compute_nonlinear_terms(W[:m + 1], Th[:m + 1], A_list[m],
-                                          params, dt, rho0=rho0, f_ext=f_ext,
-                                          X=None if maps is None else maps[m],
-                                          eval_time=t0 + m * dt,
-                                          mu_nodal=mu_nodal)
-            rhs_list.append(rhs)
-        U_new_vecs, U_new, Q_new = _solve_correction(mesh, ws, dt, rhs_list, n_steps)
-        dist = trajectory_norm([U_new[m] - U[m] for m in range(n_steps + 1)],
-                               [Q_new[m] - Q[m] for m in range(n_steps + 1)], dt, cfg.p)
+        rhs = _trajectory_terms(W, Th, A, maps, **terms)
+        U_new_vecs, U_new, Q_new = _solve_correction(ws, dt, rhs)
+        dist = trajectory_norm(U_new - U, Q_new - Q, dt, p)
         distances.append(dist)
         if len(distances) >= 2 and distances[-2] > 0:
             factors.append(dist / distances[-2])
@@ -597,26 +619,23 @@ def _picard_attempt(v0, cfg, params, ws, n_steps, C0, X0, t0, rho0, f_ext,
             raise NonContractionError(
                 f"Picard iteration failed to contract (factor {fac:.3f})", factor=fac)
 
-    # compose, build trajectory companions
-    u_fields = [uL[m] + U[m] for m in range(n_steps + 1)]
-    q_fields = [qL[m] + Q[m] for m in range(n_steps + 1)]
-    u_vecs = [uL_vecs[m] + U_vecs[m] for m in range(n_steps + 1)]
-    C_list, A_list, kappa_max = _build_geometry(mesh, u_fields, dt, cfg, C0)
-    maps = _lagrangian_maps(mesh, u_fields, dt, X0)
-    states = [StokesState.from_uvec(mesh, u_vecs[m], q_fields[m], t0 + m * dt)
+    # the composed solution; its geometry and nonlinear data are built once
+    # and shared by the trajectory companions and the substituted residual
+    u, q = lin_u + U, lin_q + Q
+    u_vecs = lin_vecs + U_vecs
+    C_end, A_u, kappa_max = _build_geometry(mesh, u, dt, cfg, C0)
+    maps = _lagrangian_maps(mesh, u, dt, X0)
+    rhs_u = _trajectory_terms(u, q, A_u, maps if f_ext is not None else None, **terms)
+    states = [StokesState.from_uvec(mesh, u_vecs[m], q[m], t0 + m * dt)
               for m in range(n_steps + 1)]
     traj = Trajectory(times=t0 + dt * np.arange(n_steps + 1), states=states,
-                      cofactors=[a.mats for a in A_list],
-                      lagrangian_maps=maps,
-                      meta={"displacement": C_list[-1]})
+                      cofactors=list(A_u.mats), lagrangian_maps=list(maps),
+                      meta={"displacement": C_end})
     traj.diagnostics["energy"] = np.array([ws.kinetic_energy(v) for v in u_vecs])
 
-    residual = _substituted_residual(mesh, ws, dt, u_vecs, u_fields, q_fields,
-                                     cfg, params, C0, rho0, f_ext, mu_nodal, t0)
-    ball = trajectory_norm(U, Q, dt, cfg.p)
-    h_series = [None] + [r.h_jump for r in rhs_list] if rhs_list else None
-    k_series = [None] + [r.k for r in rhs_list] if rhs_list else None
-    xi, xio = _xi_norms(mesh, U, h_series, k_series, params, dt, cfg.p)
+    residual = _substituted_residual(ws, dt, u_vecs, q, rhs_u)
+    ball = trajectory_norm(U, Q, dt, p)
+    xi, xio = _xi_norms(mesh, U, rhs, params, dt, p)
     report = IterationReport(converged=converged, iterations=len(distances),
                              contraction_factors=factors, distances=distances,
                              horizon=n_steps * dt, n_steps=n_steps,
@@ -627,57 +646,47 @@ def _picard_attempt(v0, cfg, params, ws, n_steps, C0, X0, t0, rho0, f_ext,
 
 
 def _momentum_rhs(ws, rhs_nl: NonlinearRHS) -> np.ndarray:
-    """Assembled momentum load of the nonlinear data: volume stress term
-    plus the collapsed facet corrections (and the external part)."""
+    """Assembled momentum loads of the nonlinear data, one row per step:
+    volume stress term plus the collapsed facet corrections (and the
+    external part)."""
     load = ws.stress_volume_load(rhs_nl.stress)
     load += ws.facet_value_load(rhs_nl.j_gamma, interface=True)
     load += ws.facet_value_load(rhs_nl.j_outer, interface=False)
     if rhs_nl.f_ext is not None:
-        load += ws.mass @ fem.field_to_uvec(rhs_nl.f_ext)
+        load += fem.apply_sparse(ws.mass, fem.field_to_uvec(rhs_nl.f_ext), -1)
     return load
 
 
-def _solve_correction(mesh, ws, dt, rhs_list, n_steps):
+def _solve_correction(ws, dt, rhs_nl: NonlinearRHS):
+    """Backward-Euler solves for the correction from rest, driven by the
+    nonlinear data at steps 1..n; the sequential part of an iterate.
+    Returns the velocity dof stack and the velocity and pressure field
+    stacks, steps 0..n."""
+    mesh = ws.mesh
+    loads = _momentum_rhs(ws, rhs_nl)
+    div = fem.apply_sparse(ws.pressure_mass, rhs_nl.g.values[..., 0], -1)
     lu = ws.step_factorization(dt)
-    U_vecs = [np.zeros(ws.nu)]
-    U_fields = [Field.zeros(mesh, 2)]
-    Q_fields = [Field.zeros(mesh, 1)]
-    vec = U_vecs[0]
-    for m in range(1, n_steps + 1):
-        rhs_nl = rhs_list[m - 1]
-        rhs = np.concatenate([
-            ws.mass @ vec / dt + _momentum_rhs(ws, rhs_nl),
-            ws.pressure_mass @ rhs_nl.g.values[:, 0],
-        ])
-        sol = lu.solve(rhs)
-        vec = sol[:ws.nu]
-        U_vecs.append(vec)
-        U_fields.append(fem.uvec_to_field(mesh, vec))
-        Q_fields.append(Field(mesh, 1, sol[ws.nu:][:, None]))
-    return U_vecs, U_fields, Q_fields
+    vecs = np.zeros((len(loads) + 1, ws.nu))
+    q = np.zeros((len(loads) + 1, ws.np_))
+    for m, (load, d) in enumerate(zip(loads, div)):
+        sol = lu.solve(np.concatenate([ws.mass @ vecs[m] / dt + load, d]))
+        vecs[m + 1], q[m + 1] = sol[:ws.nu], sol[ws.nu:]
+    return vecs, fem.uvec_to_field(mesh, vecs), Field(mesh, 1, q[..., None])
 
 
-def _substituted_residual(mesh, ws, dt, u_vecs, u_fields, q_fields, cfg, params,
-                          C0, rho0, f_ext, mu_nodal=None, t0=0.0):
-    """Relative algebraic residual of the composed solution substituted
-    back into the discrete nonlinear system."""
-    _, A_list, _ = _build_geometry(mesh, u_fields, dt, cfg, C0)
-    maps = _lagrangian_maps(mesh, u_fields, dt, None) if f_ext is not None else None
+def _substituted_residual(ws, dt, u_vecs, q: Field, rhs_nl: NonlinearRHS) -> float:
+    """Relative algebraic residual of the composed solution (velocity dof
+    stack and pressure field stack, steps 0..n) substituted back into the
+    discrete nonlinear system, with its own nonlinear data at steps 1..n."""
     lu = ws.step_factorization(dt)
-    worst = 0.0
-    for m in range(1, len(u_fields)):
-        rhs_nl = compute_nonlinear_terms(u_fields[:m + 1], q_fields[:m + 1],
-                                         A_list[m], params, dt, rho0=rho0, f_ext=f_ext,
-                                         X=None if maps is None else maps[m],
-                                         eval_time=t0 + m * dt, mu_nodal=mu_nodal)
-        rhs = np.concatenate([
-            ws.mass @ u_vecs[m - 1] / dt + _momentum_rhs(ws, rhs_nl),
-            ws.pressure_mass @ rhs_nl.g.values[:, 0],
-        ])
-        z = np.concatenate([u_vecs[m], q_fields[m].values[:, 0]])
-        r = lu.matrix @ z - rhs
-        worst = max(worst, np.linalg.norm(r) / max(np.linalg.norm(rhs), 1e-300))
-    return worst
+    rhs = np.concatenate([fem.apply_sparse(ws.mass, u_vecs[:-1], -1) / dt
+                          + _momentum_rhs(ws, rhs_nl),
+                          fem.apply_sparse(ws.pressure_mass, rhs_nl.g.values[..., 0], -1)],
+                         axis=1)
+    z = np.concatenate([u_vecs[1:], q.values[1:, :, 0]], axis=1)
+    r = fem.apply_sparse(lu.matrix, z, -1) - rhs
+    rel = np.linalg.norm(r, axis=1) / np.maximum(np.linalg.norm(rhs, axis=1), 1e-300)
+    return float(rel.max())
 
 
 # -- stability probe ---------------------------------------------------------------
@@ -699,8 +708,8 @@ def stability_probe(v0_a: Field, v0_b: Field, cfg: IterationConfig,
     traj_a, rep_a = picard_solve_local(v0_a, cfg, params, workspace=ws)
     traj_b, rep_b = picard_solve_local(v0_b, cfg, params, workspace=ws)
     n = min(len(traj_a.states), len(traj_b.states))
-    du = [traj_b.states[m].u - traj_a.states[m].u for m in range(n)]
-    dq = [traj_b.states[m].q - traj_a.states[m].q for m in range(n)]
+    du = Field.stack([s.u for s in traj_b.states[:n]]) - Field.stack([s.u for s in traj_a.states[:n]])
+    dq = Field.stack([s.q for s in traj_b.states[:n]]) - Field.stack([s.q for s in traj_a.states[:n]])
     dist = trajectory_norm(du, dq, cfg.dt, cfg.p)
     d0 = fem.field_h1(v0_b - v0_a)
     ratio = dist / d0 if d0 > 0 else 0.0
@@ -772,9 +781,11 @@ def global_continue(v0: Field, cfg: IterationConfig, params: MaterialParams,
         from .diagnostics import discrete_spectrum
         eps0 = 0.5 * discrete_spectrum(mesh, params, len(basis) + 3, ws).gap
 
-    # global linear reference from the same datum
-    n_total = int(round(cfg.horizon / cfg.dt))
+    # global linear reference from the same datum; the continuation stops
+    # at its final step, the horizon rounded to the time grid
+    n_total = max(int(round(cfg.horizon / cfg.dt)), 1)
     lin = run_linear(v0, n_total, cfg.dt, params, workspace=ws)
+    x_functional = _XFunctional(lin.states, cfg, eps0)
 
     bound = 2.0 * cfg.a_cal * init_norm
     states = None
@@ -782,11 +793,12 @@ def global_continue(v0: Field, cfg: IterationConfig, params: MaterialParams,
     x_times, x_vals = [], []
     exceeded = False
     t = 0.0
+    n_done = 0
     current = v0
     current_bubble = None
     all_cof, all_maps = None, None
-    while t < cfg.horizon - 1e-12 and not exceeded:
-        seg_cfg = replace(cfg, horizon=min(cfg.horizon - t, cfg.horizon))
+    while n_done < n_total and not exceeded:
+        seg_cfg = replace(cfg, horizon=(n_total - n_done) * cfg.dt)
         traj, rep = picard_solve_local(current, seg_cfg, params, workspace=ws,
                                        C0=C_state, X0=X_state, t0=t,
                                        bubble0=current_bubble)
@@ -802,13 +814,14 @@ def global_continue(v0: Field, cfg: IterationConfig, params: MaterialParams,
             states.extend(traj.states[1:])
             all_cof.extend(traj.cofactors[1:])
             all_maps.extend(traj.lagrangian_maps[1:])
+        n_done += rep.n_steps
         C_state = traj.meta["displacement"]
         X_state = traj.lagrangian_maps[-1]
         t = traj.times[-1]
         current = traj.states[-1].u
         current_bubble = traj.states[-1].bubble
 
-        x_now = _x_functional(states, lin.states, cfg, eps0)
+        x_now = x_functional(states)
         x_times.append(t)
         x_vals.append(x_now)
         if x_now > bound:
@@ -836,20 +849,32 @@ def global_continue(v0: Field, cfg: IterationConfig, params: MaterialParams,
     return full, report
 
 
-def _x_functional(states, lin_states, cfg, eps0) -> float:
-    dt, p = cfg.dt, cfg.p
-    n = min(len(states), len(lin_states))
-    w = [states[m].u - lin_states[m].u for m in range(n)]
-    P = [states[m].q - lin_states[m].q for m in range(n)]
-    terms = []
-    for m in range(1, n):
-        s = (fem.field_l2(w[m] - w[m - 1]) / dt + fem.field_l2(w[m])
-             + fem.field_h1_semi(w[m]) + fem.hessian_seminorm(w[m]))
-        terms.append(math.exp(eps0 * m * dt) * s)
-    x_w = float((dt * np.sum(np.asarray(terms) ** p)) ** (1.0 / p)) if terms else 0.0
-    pterms = [math.exp(eps0 * m * dt) * fem.field_h1(P[m]) for m in range(1, n)]
-    x_p = float((dt * np.sum(np.asarray(pterms) ** p)) ** (1.0 / p)) if pterms else 0.0
-    return x_w + x_p
+class _XFunctional:
+    """X(T) of the delivered states against the linear reference states.
+    Each call computes only the terms of the steps delivered since the
+    previous call and keeps them, so the sums run over the same per-step
+    terms as a full recomputation would."""
+
+    def __init__(self, lin_states, cfg: IterationConfig, eps0: float):
+        self.lin_u = Field.stack([s.u for s in lin_states])
+        self.lin_q = Field.stack([s.q for s in lin_states])
+        self.dt, self.p, self.eps0 = cfg.dt, cfg.p, eps0
+        self.terms, self.pterms = [], []
+
+    def __call__(self, states) -> float:
+        dt = self.dt
+        n = min(len(states), len(self.lin_u.values))
+        m0 = len(self.terms) + 1                 # first step without its terms
+        if n > m0:
+            w = Field.stack([s.u for s in states[m0 - 1:n]]) - self.lin_u[m0 - 1:n]
+            P = Field.stack([s.q for s in states[m0:n]]) - self.lin_q[m0:n]
+            wn = w[1:]
+            s = (fem.field_l2(wn - w[:-1]) / dt + fem.field_l2(wn)
+                 + fem.field_h1_semi(wn) + fem.hessian_seminorm(wn))
+            weight = np.exp(self.eps0 * np.arange(m0, n) * dt)
+            self.terms.extend(weight * s)
+            self.pterms.extend(weight * fem.field_h1(P))
+        return _lp(self.terms, dt, self.p) + _lp(self.pterms, dt, self.p)
 
 
 def _lagrangian_momentum_drift(traj: Trajectory, params, ws) -> float:

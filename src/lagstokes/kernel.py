@@ -7,6 +7,10 @@ so interface nodes carry independent plus/minus traces.  The series is
 valid while the accumulated gradient stays strictly inside the unit ball;
 callers are expected to shrink their time horizon when the kappa check
 fails.
+
+The gradient accumulation, the cofactor series and the pushforward normals
+also take a stack of times (a leading axis on the matrices) and treat each
+time exactly as a single-time call would.
 """
 
 from __future__ import annotations
@@ -24,11 +28,34 @@ DEFAULT_SERIES_TOL = 1e-13
 DEFAULT_MAX_ORDER = 64
 
 
+# Stacked 2x2 algebra written out by component: on (..., 2, 2) stacks this
+# is several times faster than a broadcasting einsum and gives the same
+# floating-point sums.
+
+def mul2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products a @ b of broadcastable (..., 2, 2) matrix stacks."""
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
+    return np.stack([np.stack([a00 * b00 + a01 * b10, a00 * b01 + a01 * b11], axis=-1),
+                     np.stack([a10 * b00 + a11 * b10, a10 * b01 + a11 * b11], axis=-1)],
+                    axis=-2)
+
+
+def apply2x2(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Matrix-vector products m @ v of broadcastable (..., 2, 2) and
+    (..., 2) stacks."""
+    return np.stack([m[..., 0, 0] * v[..., 0] + m[..., 0, 1] * v[..., 1],
+                     m[..., 1, 0] * v[..., 0] + m[..., 1, 1] * v[..., 1]], axis=-1)
+
+
 def _spectral_norms(mats: np.ndarray) -> np.ndarray:
-    """Exact per-node 2-norm of (n, 2, 2) matrices."""
-    sq = np.einsum("nij,nik->njk", mats, mats)
-    tr = sq[:, 0, 0] + sq[:, 1, 1]
-    det = sq[:, 0, 0] * sq[:, 1, 1] - sq[:, 0, 1] * sq[:, 1, 0]
+    """Exact per-node 2-norm of (..., n, 2, 2) matrices."""
+    m00, m01, m10, m11 = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1]
+    s00 = m00 * m00 + m10 * m10              # entries of mats^T mats
+    s11 = m01 * m01 + m11 * m11
+    s01 = m00 * m01 + m10 * m11
+    tr = s00 + s11
+    det = s00 * s11 - s01 * s01
     disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
     return np.sqrt(np.maximum(0.5 * (tr + disc), 0.0))
 
@@ -40,11 +67,12 @@ class DisplacementGradient:
     Accumulated with the trapezoid rule (exact for piecewise-constant-in-time
     data); ``norm_estimate`` tracks an upper bound for the L1-in-time of the
     max-node gradient norm, which is the kappa certificate of Lemma-A type
-    bounds.
+    bounds.  A stack holds one value per time step: ``mats`` is
+    (n_steps, nsdof, 2, 2) and ``time`` and ``norm_estimate`` are arrays.
     """
 
     mesh: RefMesh
-    mats: np.ndarray = None          # (nsdof, 2, 2)
+    mats: np.ndarray = None          # (nsdof, 2, 2) or (n_steps, nsdof, 2, 2)
     time: float = 0.0
     norm_estimate: float = 0.0
     _last_grad: np.ndarray = dc_field(default=None, repr=False)
@@ -53,11 +81,21 @@ class DisplacementGradient:
         if self.mats is None:
             self.mats = np.zeros((self.mesh.nsdof, 2, 2))
         self.mats = np.asarray(self.mats, dtype=float)
-        if self.mats.shape != (self.mesh.nsdof, 2, 2):
+        if self.mats.ndim > 4 or self.mats.shape[-3:] != (self.mesh.nsdof, 2, 2):
             raise ShapeError("displacement gradient shape mismatch")
 
     def copy(self) -> "DisplacementGradient":
         out = DisplacementGradient(self.mesh, self.mats.copy(), self.time, self.norm_estimate)
+        out._last_grad = None if self._last_grad is None else self._last_grad.copy()
+        return out
+
+    def last(self) -> "DisplacementGradient":
+        """The final time of a stack as a single-time gradient, ready to be
+        accumulated further."""
+        if self.mats.ndim != 4:
+            raise ShapeError("only a displacement-gradient stack has a last time")
+        out = DisplacementGradient(self.mesh, self.mats[-1].copy(), float(self.time[-1]),
+                                   float(self.norm_estimate[-1]))
         out._last_grad = None if self._last_grad is None else self._last_grad.copy()
         return out
 
@@ -69,48 +107,78 @@ class DisplacementGradient:
             raise ShapeError("gradient field does not match the mesh dof layout")
         self._last_grad = grad_u.copy()
 
-    def max_norm(self) -> float:
-        return float(_spectral_norms(self.mats).max())
-
 
 def accumulate_gradient(C: DisplacementGradient, grad_u: np.ndarray,
                         dt: float) -> DisplacementGradient:
-    """Advance C by one trapezoid step with the new nodal Jacobian ``grad_u``
-    (shape (nsdof, 2, 2)); the first call seeds the left endpoint."""
+    """Advance the single-time C by one trapezoid step with the new nodal
+    Jacobian ``grad_u`` (shape (nsdof, 2, 2)), or by one step per entry of
+    a stack (n_steps, nsdof, 2, 2), returning the stack of the accumulated
+    values.  The first step of a C without a left endpoint seeds it.  The
+    running sums add in step order, so a stack equals the chain of
+    single-step calls bit for bit."""
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")
     grad_u = np.asarray(grad_u, dtype=float)
-    if grad_u.shape != (C.mesh.nsdof, 2, 2):
+    nsdof = C.mesh.nsdof
+    if C.mats.ndim != 3 or grad_u.ndim > 4 or grad_u.shape[-3:] != (nsdof, 2, 2):
         raise ShapeError("gradient field does not match the mesh dof layout")
-    out = C.copy()
-    left = C._last_grad if C._last_grad is not None else grad_u
-    avg = 0.5 * (left + grad_u)
-    out.mats = C.mats + dt * avg
-    out.time = C.time + dt
-    out.norm_estimate = C.norm_estimate + dt * float(_spectral_norms(avg).max())
-    out._last_grad = grad_u.copy()
+    g = grad_u.reshape((-1, nsdof, 2, 2))
+    left = np.concatenate([(g[:1] if C._last_grad is None else C._last_grad[None]), g[:-1]])
+    avg = 0.5 * (left + g)
+    mats = np.cumsum(np.concatenate([C.mats[None], dt * avg]), axis=0)[1:]
+    time = np.cumsum(np.concatenate([[C.time], np.full(len(g), dt)]))[1:]
+    norm = np.cumsum(np.concatenate([[C.norm_estimate],
+                                     dt * _spectral_norms(avg).max(axis=-1)]))[1:]
+    if grad_u.ndim == 3:
+        mats, time, norm = mats[0], float(time[0]), float(norm[0])
+    out = DisplacementGradient(C.mesh, mats, time, norm)
+    out._last_grad = g[-1].copy()
     return out
 
 
 @dataclass
 class CofactorField:
-    """Per-node cofactor matrix A = (I + C)^{-1} with series metadata."""
+    """Per-node cofactor matrices A = (I + C)^{-1} with series metadata, for
+    one time (``mats`` (nsdof, 2, 2)) or a stack of times (a leading axis).
+
+    ``orders`` and ``kappas`` hold each time's series order and bound on
+    ||C|| (0-d for a single time); ``order`` is their total and ``kappa``
+    their maximum, so for a single time they are that time's values.
+    """
 
     mesh: RefMesh
-    mats: np.ndarray                  # (nsdof, 2, 2)
-    order: int = 0
-    kappa: float = 0.0
+    mats: np.ndarray                  # (nsdof, 2, 2) or (n_steps, nsdof, 2, 2)
+    orders: np.ndarray = 0
+    kappas: np.ndarray = 0.0
+
+    def __post_init__(self):
+        self.orders = np.asarray(self.orders)
+        self.kappas = np.asarray(self.kappas, dtype=float)
+
+    @property
+    def order(self) -> int:
+        return int(self.orders.sum())
+
+    @property
+    def kappa(self) -> float:
+        return float(self.kappas.max())
+
+    def __getitem__(self, steps) -> "CofactorField":
+        if self.mats.ndim != 4:
+            raise ShapeError("only a cofactor stack can be indexed by time step")
+        return CofactorField(self.mesh, self.mats[steps], self.orders[steps],
+                             self.kappas[steps])
 
     def identity_residual(self, C: DisplacementGradient) -> float:
-        prod = np.einsum("nij,njk->nik", self.mats, _i_plus(C.mats))
-        prod[:, 0, 0] -= 1.0
-        prod[:, 1, 1] -= 1.0
+        prod = mul2x2(self.mats, _i_plus(C.mats))
+        prod[..., 0, 0] -= 1.0
+        prod[..., 1, 1] -= 1.0
         return float(_spectral_norms(prod).max())
 
     def minus_identity_norm(self) -> float:
         d = self.mats.copy()
-        d[:, 0, 0] -= 1.0
-        d[:, 1, 1] -= 1.0
+        d[..., 0, 0] -= 1.0
+        d[..., 1, 1] -= 1.0
         return float(_spectral_norms(d).max())
 
 
@@ -119,14 +187,14 @@ class TransformedNormal:
     """Unit pushforward normals A n / |A n| at interface and outer nodes."""
 
     mesh: RefMesh
-    gamma: np.ndarray        # (n_gamma_nodes, 2)
-    outer: np.ndarray        # (n_outer_nodes, 2)
+    gamma: np.ndarray        # ([n_steps,] n_gamma_nodes, 2)
+    outer: np.ndarray        # ([n_steps,] n_outer_nodes, 2)
 
 
 def _i_plus(C: np.ndarray) -> np.ndarray:
     out = C.copy()
-    out[:, 0, 0] += 1.0
-    out[:, 1, 1] += 1.0
+    out[..., 0, 0] += 1.0
+    out[..., 1, 1] += 1.0
     return out
 
 
@@ -137,46 +205,48 @@ def neumann_cofactor(C: DisplacementGradient, tol: float = DEFAULT_SERIES_TOL,
 
     Stops at the first order whose term norm drops below ``tol``; raises if
     the per-node norm bound exceeds ``kappa`` (series untrusted) or the
-    series fails to converge within ``max_order`` terms.
+    series fails to converge within ``max_order`` terms.  A stack of times
+    stops each time at its own order, so every time gets exactly the
+    result, order and kappa of a single-time call.
     """
-    norms = _spectral_norms(C.mats)
-    kmax = float(norms.max()) if len(norms) else 0.0
-    if kmax > kappa * (1.0 + 1e-12):        # boundary ||C|| = kappa admissible
+    kmax = _spectral_norms(C.mats).max(axis=-1)          # one per time
+    if np.any(kmax > kappa * (1.0 + 1e-12)):         # boundary ||C|| = kappa admissible
         raise GeometryError(
-            f"displacement gradient norm {kmax:.3g} exceeds kappa={kappa}; "
+            f"displacement gradient norm {kmax.max():.3g} exceeds kappa={kappa}; "
             "reduce the time horizon")
-    n = C.mats.shape[0]
     acc = np.zeros_like(C.mats)
-    acc[:, 0, 0] = 1.0
-    acc[:, 1, 1] = 1.0
+    acc[..., 0, 0] = 1.0
+    acc[..., 1, 1] = 1.0
     term = acc.copy()
-    order = 0
+    order = np.zeros(kmax.shape, dtype=np.int64)
+    active = np.ones(kmax.shape, dtype=bool)
     for k in range(1, max_order + 1):
-        term = -np.einsum("nij,njk->nik", term, C.mats)
-        tnorm = float(_spectral_norms(term).max())
-        if tnorm < tol:
+        term = -mul2x2(term, C.mats)
+        active &= ~(_spectral_norms(term).max(axis=-1) < tol)
+        if not active.any():
             break
-        acc += term
-        order = k
+        acc[active] += term[active]
+        order[active] = k
     else:
         raise ConvergenceError(
             f"cofactor series did not reach tol={tol} within {max_order} terms")
-    return CofactorField(C.mesh, acc, order=order, kappa=kmax)
+    return CofactorField(C.mesh, acc, orders=order, kappas=kmax)
 
 
 def direct_inverse_oracle(C: DisplacementGradient) -> CofactorField:
     """Closed-form per-node 2x2 inverse of (I + C); the series oracle."""
     m = _i_plus(C.mats)
-    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-    bad = np.nonzero(np.abs(det) < 1e-300)[0]
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    bad = np.nonzero(np.abs(det) < 1e-300)[-1]
     if len(bad):
         raise SingularityError(f"singular map at node {bad[0]}", node=int(bad[0]))
     inv = np.empty_like(m)
-    inv[:, 0, 0] = m[:, 1, 1] / det
-    inv[:, 1, 1] = m[:, 0, 0] / det
-    inv[:, 0, 1] = -m[:, 0, 1] / det
-    inv[:, 1, 0] = -m[:, 1, 0] / det
-    return CofactorField(C.mesh, inv, order=-1, kappa=float(_spectral_norms(C.mats).max()))
+    inv[..., 0, 0] = m[..., 1, 1] / det
+    inv[..., 1, 1] = m[..., 0, 0] / det
+    inv[..., 0, 1] = -m[..., 0, 1] / det
+    inv[..., 1, 0] = -m[..., 1, 0] / det
+    return CofactorField(C.mesh, inv, orders=np.full(det.shape[:-1], -1),
+                         kappas=_spectral_norms(C.mats).max(axis=-1))
 
 
 def delta_cofactor(C1: DisplacementGradient, C2: DisplacementGradient,
@@ -227,22 +297,23 @@ def delta_cofactor(C1: DisplacementGradient, C2: DisplacementGradient,
 
 def pushforward_normal(A: CofactorField, mesh: RefMesh,
                        degeneracy_tol: float = 1e-12) -> TransformedNormal:
-    """Unit transformed normals on Gamma and Gamma_plus.
+    """Unit transformed normals on Gamma and Gamma_plus, with a leading
+    axis for a cofactor stack.
 
     On Gamma the two traces of A are averaged before applying, keeping the
     transformed normal single-valued on the interface.
     """
-    gm = 0.5 * (A.mats[mesh.sdof_plus[mesh.gamma_nodes]]
-                + A.mats[mesh.sdof_minus[mesh.gamma_nodes]])
-    gvec = np.einsum("nij,nj->ni", gm, mesh.node_normals_gamma)
-    om = A.mats[mesh.sdof_minus[mesh.gamma_plus_nodes]] if mesh.outer_phase < 0 \
-        else A.mats[mesh.sdof_plus[mesh.gamma_plus_nodes]]
-    ovec = np.einsum("nij,nj->ni", om, mesh.node_normals_outer)
+    gm = 0.5 * (A.mats[..., mesh.sdof_plus[mesh.gamma_nodes], :, :]
+                + A.mats[..., mesh.sdof_minus[mesh.gamma_nodes], :, :])
+    gvec = apply2x2(gm, mesh.node_normals_gamma)
+    outer_sdofs = mesh.sdof_minus if mesh.outer_phase < 0 else mesh.sdof_plus
+    om = A.mats[..., outer_sdofs[mesh.gamma_plus_nodes], :, :]
+    ovec = apply2x2(om, mesh.node_normals_outer)
     for vec, name in ((gvec, "Gamma"), (ovec, "Gamma_plus")):
-        mags = np.linalg.norm(vec, axis=1)
+        mags = np.linalg.norm(vec, axis=-1)
         if np.any(mags < degeneracy_tol):
             raise GeometryError(f"|A n| degenerate on {name}")
-        vec /= mags[:, None]
+        vec /= mags[..., None]
     return TransformedNormal(mesh, gvec, ovec)
 
 
@@ -287,4 +358,4 @@ def identity_cofactor(mesh: RefMesh) -> CofactorField:
     mats = np.zeros((mesh.nsdof, 2, 2))
     mats[:, 0, 0] = 1.0
     mats[:, 1, 1] = 1.0
-    return CofactorField(mesh, mats, order=0, kappa=0.0)
+    return CofactorField(mesh, mats)

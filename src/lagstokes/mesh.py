@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DomainError, FacetLookupError, ParameterError, ShapeError
 
@@ -164,6 +166,32 @@ class RefMesh:
         """Scalar dof count: one per node plus one extra per interface node."""
         return self.n_nodes + len(self.gamma_nodes)
 
+    # -- sparse operators on scalar dofs, built on first use -------------------
+
+    @cached_property
+    def gradient_operator(self) -> sp.csr_matrix:
+        """(2 n_cells, nsdof): row 2c + k maps scalar dof values to the
+        exact d/dxi_k of the P1 field on cell c."""
+        nc = self.n_cells
+        rows = 2 * np.arange(nc)[:, None, None] + np.arange(2)[None, None, :]
+        rows = np.broadcast_to(rows, (nc, 3, 2))
+        cols = np.broadcast_to(self.cell_sdofs[:, :, None], (nc, 3, 2))
+        return sp.csr_matrix((self.grads.ravel(), (rows.ravel(), cols.ravel())),
+                             shape=(2 * nc, self.nsdof))
+
+    @cached_property
+    def recovery_operator(self) -> sp.csr_matrix:
+        """(nsdof, n_cells): volume-weighted average of cellwise data onto the
+        scalar dofs of each cell's own phase, so interface nodes receive
+        separate plus/minus traces."""
+        nc = self.n_cells
+        cols = np.repeat(np.arange(nc), 3)
+        weights = np.repeat(self.areas, 3)
+        total = np.bincount(self.cell_sdofs.ravel(), weights=weights, minlength=self.nsdof)
+        rows = self.cell_sdofs.ravel()
+        return sp.csr_matrix((weights / total[rows], (rows, cols)),
+                             shape=(self.nsdof, nc))
+
     def is_interface_facet(self, facet: int) -> bool:
         self._check_facet(facet)
         return facet < len(self.interface_facets)
@@ -302,7 +330,9 @@ class Field:
 
     ``values`` has shape (mesh.nsdof, ncomp): row i < n_nodes is the
     plus-side value at node i (and the only value away from Gamma); the
-    trailing rows hold the minus-side traces of the interface nodes.
+    trailing rows hold the minus-side traces of the interface nodes.  A
+    field stack (one field per time step) carries a leading axis,
+    (n_steps, mesh.nsdof, ncomp); indexing a stack selects time steps.
     """
 
     mesh: RefMesh
@@ -311,27 +341,35 @@ class Field:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.mesh.nsdof, self.ncomp):
+        if self.values.ndim > 3 or self.values.shape[-2:] != (self.mesh.nsdof, self.ncomp):
             raise ShapeError(
-                f"field values shape {self.values.shape} != ({self.mesh.nsdof}, {self.ncomp})")
+                f"field values shape {self.values.shape} != "
+                f"([n_steps,] {self.mesh.nsdof}, {self.ncomp})")
 
     @classmethod
     def zeros(cls, mesh: RefMesh, ncomp: int = 1) -> "Field":
         return cls(mesh, ncomp, np.zeros((mesh.nsdof, ncomp)))
 
     @classmethod
+    def stack(cls, fields) -> "Field":
+        """Field stack from a sequence of single-time fields."""
+        first = fields[0]
+        return cls(first.mesh, first.ncomp, np.stack([f.values for f in fields]))
+
+    @classmethod
     def from_nodal(cls, mesh: RefMesh, nodal: np.ndarray) -> "Field":
-        """Continuous field from per-node values: both interface traces share
-        the node value exactly."""
+        """Continuous field from per-node values (n_nodes,), (n_nodes, ncomp)
+        or a stack (n_steps, n_nodes, ncomp): both interface traces share the
+        node value exactly."""
         nodal = np.asarray(nodal, dtype=float)
         if nodal.ndim == 1:
             nodal = nodal[:, None]
-        if nodal.shape[0] != mesh.n_nodes:
-            raise ShapeError(f"expected {mesh.n_nodes} nodal rows, got {nodal.shape[0]}")
-        values = np.empty((mesh.nsdof, nodal.shape[1]))
-        values[:mesh.n_nodes] = nodal
-        values[mesh.n_nodes:] = nodal[mesh.gamma_nodes]
-        return cls(mesh, nodal.shape[1], values)
+        if nodal.shape[-2] != mesh.n_nodes:
+            raise ShapeError(f"expected {mesh.n_nodes} nodal rows, got {nodal.shape[-2]}")
+        values = np.empty(nodal.shape[:-2] + (mesh.nsdof, nodal.shape[-1]))
+        values[..., :mesh.n_nodes, :] = nodal
+        values[..., mesh.n_nodes:, :] = nodal[..., mesh.gamma_nodes, :]
+        return cls(mesh, nodal.shape[-1], values)
 
     @classmethod
     def from_phase_traces(cls, mesh: RefMesh, plus: np.ndarray, minus: np.ndarray) -> "Field":
@@ -350,11 +388,16 @@ class Field:
 
     def plus(self) -> np.ndarray:
         """Per-node values with the plus-side trace on Gamma nodes."""
-        return self.values[self.mesh.sdof_plus]
+        return self.values[..., self.mesh.sdof_plus, :]
 
     def minus(self) -> np.ndarray:
         """Per-node values with the minus-side trace on Gamma nodes."""
-        return self.values[self.mesh.sdof_minus]
+        return self.values[..., self.mesh.sdof_minus, :]
+
+    def __getitem__(self, steps) -> "Field":
+        if self.values.ndim != 3:
+            raise ShapeError("only a field stack can be indexed by time step")
+        return Field(self.mesh, self.ncomp, self.values[steps])
 
     def copy(self) -> "Field":
         return Field(self.mesh, self.ncomp, self.values.copy())

@@ -16,6 +16,7 @@ and the rigid momenta are conserved to solver roundoff.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -168,34 +169,60 @@ class StokesWorkspace:
             load += self.stress_ibp_load(data.stress_ibp)
         return load
 
-    def stress_volume_load(self, s_cells: np.ndarray) -> np.ndarray:
-        """(S, grad v) for a cellwise-constant stress; bubble rows vanish
-        because the cell integral of the bubble gradient is zero."""
+    @cached_property
+    def _stress_volume_operator(self) -> sp.csr_matrix:
+        """(nu, 4 n_cells): flattened cellwise S[c, j, k] -> (S, grad v)."""
         mesh = self.mesh
+        nc = mesh.n_cells
+        # entry (2 * cells[c, a] + j, 4 c + 2 j + k) = area_c * grad_a[c, k]
+        vals = np.broadcast_to((mesh.areas[:, None, None] * mesh.grads)[:, :, None, :],
+                               (nc, 3, 2, 2))
+        rows = np.broadcast_to((2 * mesh.cells[:, :, None] + np.arange(2))[:, :, :, None],
+                               (nc, 3, 2, 2))
+        cols = np.broadcast_to((4 * np.arange(nc)[:, None, None]
+                                + 2 * np.arange(2)[None, :, None]
+                                + np.arange(2)[None, None, :])[:, None, :, :],
+                               (nc, 3, 2, 2))
+        return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                             shape=(self.nu, 4 * nc))
+
+    @cached_property
+    def _facet_value_operators(self) -> dict:
+        """interface flag -> (nu, 2 n_facets) operator taking per-facet
+        constant vectors on Gamma (True) or Gamma_plus (False) to the
+        surface load."""
+        mesh = self.mesh
+        ni = mesh.n_interface_facets
+        ops = {}
+        for interface, pairs, lengths in (
+                (True, mesh.interface_facets[:, :2], mesh.facet_lengths[:ni]),
+                (False, mesh.outer_facets[:, :2], mesh.facet_lengths[ni:])):
+            nf = len(pairs)
+            # entry (2 * node + comp, 2 f + comp) = length_f / 2 for both nodes
+            rows = 2 * pairs[:, :, None] + np.arange(2)                  # (nf, 2, 2)
+            cols = np.broadcast_to((2 * np.arange(nf)[:, None] + np.arange(2))[:, None, :],
+                                   (nf, 2, 2))
+            vals = np.broadcast_to(0.5 * lengths[:, None, None], (nf, 2, 2))
+            ops[interface] = sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                                           shape=(self.nu, 2 * nf))
+        return ops
+
+    def stress_volume_load(self, s_cells: np.ndarray) -> np.ndarray:
+        """(S, grad v) for a cellwise-constant stress (n_cells, 2, 2), or one
+        load per step of a stack; bubble rows vanish because the cell
+        integral of the bubble gradient is zero."""
         s_cells = np.asarray(s_cells, dtype=float)
-        if s_cells.shape != (mesh.n_cells, 2, 2):
-            raise ShapeError("stress field must be (n_cells, 2, 2)")
-        load = np.zeros(self.nu)
-        contrib = np.einsum("cjk,cak->caj", s_cells, mesh.grads) * mesh.areas[:, None, None]
-        for comp in range(2):
-            np.add.at(load, 2 * mesh.cells.ravel() + comp, contrib[:, :, comp].ravel())
-        return load
+        if s_cells.ndim > 4 or s_cells.shape[-3:] != (self.mesh.n_cells, 2, 2):
+            raise ShapeError("stress field must be ([n_steps,] n_cells, 2, 2)")
+        flat = s_cells.reshape(s_cells.shape[:-3] + (-1,))
+        return fem.apply_sparse(self._stress_volume_operator, flat, -1)
 
     def facet_value_load(self, values: np.ndarray, interface: bool) -> np.ndarray:
-        """Surface load for per-facet constant vector values."""
-        mesh = self.mesh
-        load = np.zeros(self.nu)
-        if interface:
-            pairs = mesh.interface_facets[:, :2]
-            lengths = mesh.facet_lengths[:mesh.n_interface_facets]
-        else:
-            pairs = mesh.outer_facets[:, :2]
-            lengths = mesh.facet_lengths[mesh.n_interface_facets:]
-        for (a, b), val, length in zip(pairs, np.asarray(values, dtype=float), lengths):
-            for comp in range(2):
-                load[2 * a + comp] += 0.5 * length * val[comp]
-                load[2 * b + comp] += 0.5 * length * val[comp]
-        return load
+        """Surface load for per-facet constant vector values (n_facets, 2),
+        or one load per step of a stack."""
+        values = np.asarray(values, dtype=float)
+        flat = values.reshape(values.shape[:-2] + (-1,))
+        return fem.apply_sparse(self._facet_value_operators[interface], flat, -1)
 
     def stress_ibp_load(self, s_cells: np.ndarray) -> np.ndarray:
         """Weak divergence of a cellwise stress: (S, grad v) minus its

@@ -352,6 +352,24 @@ def test_global_small_datum_decays(mesh, ws):
     assert abs(traj.times[-1] - 3.0) < 1e-9
 
 
+@pytest.mark.parametrize("horizon", [1.1, 2.05])
+def test_global_final_time_equals_horizon(mesh, ws, horizon):
+    # the last segment is shorter than min_steps; it must not be padded
+    cfg = IterationConfig(dt=0.05, horizon=horizon, smallness=10.0)
+    traj, rep = global_continue(smooth_datum(mesh, ws, 0.02), cfg, PARAMS, workspace=ws)
+    assert len(traj.states) == round(horizon / 0.05) + 1
+    assert abs(traj.times[-1] - horizon) < 1e-9
+    assert abs(rep.times[-1] - horizon) < 1e-9
+    assert not rep.exceeded
+
+
+def test_picard_local_horizon_below_min_steps(mesh, ws):
+    cfg = IterationConfig(dt=0.05, horizon=0.1)
+    traj, rep = picard_solve_local(smooth_datum(mesh, ws, 0.02), cfg, PARAMS, workspace=ws)
+    assert rep.converged and rep.n_steps == 2
+    assert abs(traj.times[-1] - 0.1) < 1e-12
+
+
 def test_global_smallness_guard(mesh, ws):
     cfg = IterationConfig(dt=0.05, horizon=0.5, smallness=1e-6)
     with pytest.raises(ValidationError):

@@ -1,0 +1,141 @@
+"""The time-stacked nonlinear path against step-by-step single-time calls,
+a property test of the stacked cofactor series against its closed-form
+oracle, and run-to-run determinism of the global continuation."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lagstokes import fem, kernel, snapshots
+from lagstokes.diagnostics import energy_budget, momentum_and_barycenter
+from lagstokes.fixedpoint import IterationConfig, compute_nonlinear_terms, global_continue
+from lagstokes.kernel import DisplacementGradient, _spectral_norms
+from lagstokes.mesh import Field, build_two_phase_disk
+from lagstokes.stepper import StokesWorkspace
+from lagstokes.transmission import MaterialParams, project_out_rigid
+
+PARAMS = MaterialParams(2.0, 1.0, 0.3, 0.1)
+RTOL = 1e-12
+N_STEPS = 6
+DT = 0.05
+
+
+def rel_err(got, ref):
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    return np.abs(got - ref).max() / max(np.abs(ref).max(), 1e-300)
+
+
+def velocity_stack(mesh, amp=0.2):
+    """Smooth, time-varying velocity and pressure stacks, steps 0..N_STEPS."""
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    u, q = [], []
+    for m in range(N_STEPS + 1):
+        s = 1.0 + 0.3 * np.sin(m)
+        w = 1.1 - x * x - y * y
+        u.append(Field.from_nodal(mesh, amp * s * np.column_stack([w * y + 0.2 * x * x,
+                                                                   -w * x + 0.1 * x * y])))
+        plus = amp * (x * x - y + m * 0.1)
+        q.append(Field.from_phase_traces(mesh, plus, 0.5 * plus + 0.01))
+    return u, q
+
+
+@pytest.fixture(scope="module", params=[(3, 12), (6, 24)], ids=["3x12", "6x24"])
+def setup(request):
+    mesh = build_two_phase_disk(*request.param, 0.5, 1.0)
+    u, q = velocity_stack(mesh)
+    # accumulated gradients C_0..C_n step by step, and their cofactors
+    C = DisplacementGradient(mesh)
+    C.seed_left_endpoint(fem.recover_gradient(u[0]))
+    singles = [C]
+    for m in range(1, N_STEPS + 1):
+        singles.append(kernel.accumulate_gradient(singles[-1], fem.recover_gradient(u[m]), DT))
+    return mesh, u, q, singles
+
+
+def test_recover_gradient_stacked_matches_single(setup):
+    mesh, u, _, _ = setup
+    stacked = fem.recover_gradient(Field.stack(u))
+    for m, field in enumerate(u):
+        assert rel_err(stacked[m], fem.recover_gradient(field)) <= RTOL
+
+
+def test_accumulate_gradient_stacked_equals_chain(setup):
+    mesh, u, _, singles = setup
+    grads = fem.recover_gradient(Field.stack(u))
+    stacked = kernel.accumulate_gradient(singles[0], grads[1:], DT)
+    for m in range(1, N_STEPS + 1):
+        assert np.array_equal(stacked.mats[m - 1], singles[m].mats)
+        assert stacked.norm_estimate[m - 1] == singles[m].norm_estimate
+    last = stacked.last()
+    assert np.array_equal(last.mats, singles[-1].mats)
+    assert np.array_equal(last._last_grad, singles[-1]._last_grad)
+
+
+def test_neumann_cofactor_stacked_matches_single(setup):
+    mesh, _, _, singles = setup
+    stack = DisplacementGradient(mesh, np.stack([C.mats for C in singles]))
+    A = kernel.neumann_cofactor(stack)
+    assert A.orders.shape == (N_STEPS + 1,)
+    for m, C in enumerate(singles):
+        ref = kernel.neumann_cofactor(C)
+        assert rel_err(A.mats[m], ref.mats) <= RTOL
+        assert A.orders[m] == ref.order
+        assert A.kappas[m] == ref.kappa
+    # the steps stop at different orders, and the totals add up
+    assert len(set(A.orders.tolist())) > 1
+    assert A.order == sum(kernel.neumann_cofactor(C).order for C in singles)
+
+
+def test_compute_nonlinear_terms_stacked_matches_single(setup):
+    mesh, u, q, singles = setup
+    A = kernel.neumann_cofactor(DisplacementGradient(mesh, np.stack([C.mats for C in singles])))
+    rho0 = Field(mesh, 1, (1.05 * PARAMS.eta_sdofs(mesh))[:, None])
+    times = DT * np.arange(1, N_STEPS + 1)
+    stacked = compute_nonlinear_terms(Field.stack(u), Field.stack(q), A[1:], PARAMS, DT,
+                                      rho0=rho0, eval_time=times)
+    for m in range(1, N_STEPS + 1):
+        single = compute_nonlinear_terms(u[:m + 1], q[:m + 1], kernel.neumann_cofactor(singles[m]),
+                                         PARAMS, DT, rho0=rho0, eval_time=times[m - 1])
+        for name in ("stress", "h_jump", "k", "j_gamma", "j_outer"):
+            assert rel_err(getattr(stacked, name)[m - 1], getattr(single, name)) <= RTOL, name
+        for name in ("g", "R", "f_ext"):
+            assert rel_err(getattr(stacked, name).values[m - 1],
+                           getattr(single, name).values) <= RTOL, name
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_radial=st.integers(2, 4), n_angular=st.integers(8, 20),
+       n_steps=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.floats(0.0, 0.45))
+def test_stacked_cofactor_matches_oracle(n_radial, n_angular, n_steps, seed, scale):
+    mesh = build_two_phase_disk(n_radial, n_angular, 0.5, 1.0)
+    rng = np.random.default_rng(seed)
+    mats = rng.standard_normal((n_steps, mesh.nsdof, 2, 2))
+    norms = _spectral_norms(mats).max(axis=-1)
+    mats *= (scale * rng.uniform(0.0, 1.0, n_steps) / norms)[:, None, None, None]
+    A = kernel.neumann_cofactor(DisplacementGradient(mesh, mats))
+    for m in range(n_steps):
+        oracle = kernel.direct_inverse_oracle(DisplacementGradient(mesh, mats[m]))
+        err = _spectral_norms(A.mats[m] - oracle.mats).max() / _spectral_norms(oracle.mats).max()
+        assert err <= 1e-12
+
+
+def test_global_continue_csvs_byte_identical(tmp_path):
+    mesh = build_two_phase_disk(3, 12, 0.5, 1.0)
+    ws = StokesWorkspace(mesh, PARAMS)
+    u0 = fem.interpolate(mesh, lambda x, y: 0.02 * (1.1 - x * x - y * y) * np.array([y, -x]), 2)
+    u0 = project_out_rigid(u0, ws.rigid_basis(), PARAMS)
+    cfg = IterationConfig(dt=DT, horizon=1.5, smallness=10.0)
+    payloads = []
+    for run in range(2):
+        out = tmp_path / f"run{run}"
+        out.mkdir()
+        traj, rep = global_continue(u0, cfg, PARAMS, workspace=ws)
+        cols = energy_budget(traj, PARAMS, ws).csv_columns()
+        cols.update((k, v) for k, v in momentum_and_barycenter(traj, PARAMS, ws).csv_columns().items()
+                    if k != "time")
+        snapshots.write_csv(out / "diagnostics.csv", cols)
+        snapshots.write_csv(out / "x_report.csv", {"time": rep.times, "x": rep.x_values,
+                                                   "bound": np.full(len(rep.times), rep.bound)})
+        payloads.append([(out / name).read_bytes() for name in ("diagnostics.csv", "x_report.csv")])
+    assert payloads[0] == payloads[1]
