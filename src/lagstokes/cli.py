@@ -239,8 +239,29 @@ def build_initial(cfg: RunConfig, mesh: RefMesh, params: MaterialParams,
     return u0
 
 
+def _versions() -> dict:
+    """Versions of the package, Python, numpy, scipy and the BLAS that numpy
+    and scipy were built against; results depend on them at roundoff."""
+    import platform
+
+    import scipy
+
+    from . import __version__
+    out = {"version.lagstokes": __version__,
+           "version.python": platform.python_version(),
+           "version.numpy": np.__version__, "version.scipy": scipy.__version__}
+    for name, module in (("numpy", np), ("scipy", scipy)):
+        try:
+            blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            out[f"version.{name}_blas"] = f"{blas['name']} {blas['version']}"
+        except (TypeError, KeyError):    # a build that does not report it
+            out[f"version.{name}_blas"] = "unknown"
+    return out
+
+
 def _write_manifest(cfg: RunConfig, extra: dict) -> None:
     lines = cfg.manifest_lines()
+    extra = {**_versions(), **extra}
     for key in sorted(extra):
         lines.append(f"{key} {extra[key]}")
     (cfg.out_dir / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="ascii")

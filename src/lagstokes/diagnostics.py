@@ -19,7 +19,7 @@ import scipy.sparse.linalg as spla
 from . import fem
 from .errors import DomainError, NumericError, ParameterError
 from .mesh import Field
-from .stepper import StokesWorkspace, Trajectory
+from .stepper import StokesWorkspace, Trajectory, uvec_stack
 from .transmission import MaterialParams
 
 
@@ -64,18 +64,21 @@ class SpectrumReport:
     principal_angles: np.ndarray = None
 
 
-def _lagrangian_dissipation(traj: Trajectory, params: MaterialParams, i: int,
-                            mu_c: np.ndarray) -> float:
-    """1/2 int mu D_A(u):D_A(u) with the stored cofactor at step i,
+def _lagrangian_dissipation(traj: Trajectory, mu_c: np.ndarray) -> np.ndarray:
+    """1/2 int mu D_A(u):D_A(u) per step with the stored cofactors,
     evaluated cellwise (exact velocity gradients, centroid cofactor)."""
-    state = traj.states[i]
-    mesh = state.u.mesh
-    G = fem.cell_gradients(state.u)                     # (nc, 2, 2)
-    A = traj.cofactors[i]                                # (nsdof, 2, 2)
-    Ac = A[mesh.cell_sdofs].mean(axis=1)                 # centroid value
-    Du = np.einsum("cij,ckj->cik", G, Ac) + np.einsum("cij,ckj->cik", Ac, G)
-    sq = np.einsum("cij,cij->c", Du, Du)
-    return 0.5 * float(np.dot(mesh.areas * mu_c, sq))
+    mesh = traj.states[0].u.mesh
+    weights = mesh.areas * mu_c
+
+    def block(steps):
+        G = fem.cell_gradients(Field.stack([s.u for s in traj.states[steps]]))
+        A = np.stack(traj.cofactors[steps])                       # (n, nsdof, 2, 2)
+        Ac = A[:, mesh.cell_sdofs].mean(axis=2)                   # centroid values
+        Du = np.einsum("ncij,nckj->ncik", G, Ac)
+        Du = Du + np.swapaxes(Du, -1, -2)
+        return 0.5 * np.einsum("ncij,ncij->nc", Du, Du) @ weights
+
+    return fem.blockwise(block, len(traj.states))
 
 
 def energy_budget(traj: Trajectory, params: MaterialParams,
@@ -93,13 +96,12 @@ def energy_budget(traj: Trajectory, params: MaterialParams,
     ws = workspace or StokesWorkspace(mesh, params)
     n = len(traj.states)
     dt = traj.dt
-    energy = np.array([ws.kinetic_energy(s.uvec()) for s in traj.states])
+    vecs = uvec_stack(traj.states)
+    energy = ws.kinetic_energy(vecs)
     if traj.cofactors is not None:
-        mu_c = params.mu_cells(mesh)
-        dissip = np.array([_lagrangian_dissipation(traj, params, i, mu_c)
-                           for i in range(n)])
+        dissip = _lagrangian_dissipation(traj, params.mu_cells(mesh))
     else:
-        dissip = np.array([ws.dissipation(s.uvec()) for s in traj.states])
+        dissip = ws.dissipation(vecs)
     w = np.zeros(n) if work is None else np.asarray(work, dtype=float)
     residual = np.zeros(n)
     residual[1:] = (energy[1:] - energy[:-1]) / dt + dissip[1:] - w[1:]
@@ -119,55 +121,41 @@ def momentum_and_barycenter(traj: Trajectory, params: MaterialParams,
     ws = workspace or StokesWorkspace(mesh, params)
     basis = ws.rigid_basis()
     eta_c = params.eta_cells(mesh)
-    n = len(traj.states)
     dt = traj.dt
+    u = Field.stack([s.u for s in traj.states])
+    vol_flux = _eta_nodal_integral(mesh, eta_c, u.values)
 
     if traj.lagrangian_maps is None:
-        momenta = np.array([ws.momentum(s.uvec(), basis) for s in traj.states])
-        vol_flux = np.array([_eta_velocity_integral(s.u, eta_c) for s in traj.states])
-        bary = np.empty((n, 2))
-        bary[0] = _eta_position_integral(mesh, eta_c, None)
-        for i in range(1, n):
-            bary[i] = bary[i - 1] + 0.5 * dt * (vol_flux[i - 1] + vol_flux[i])
+        momenta = ws.momentum(uvec_stack(traj.states), basis)
+        bary = np.cumsum(np.concatenate([
+            _eta_nodal_integral(mesh, eta_c, Field.from_nodal(mesh, mesh.nodes).values)[None],
+            0.5 * dt * (vol_flux[:-1] + vol_flux[1:])]), axis=0)
     else:
-        momenta = np.empty((n, len(basis)))
-        bary = np.empty((n, 2))
-        for i, s in enumerate(traj.states):
-            X = traj.lagrangian_maps[i]        # (n_nodes, 2)
-            momenta[i] = _lagrangian_momenta(s.u, X, basis, eta_c)
-            bary[i] = _eta_position_integral(mesh, eta_c, X)
-        vol_flux = np.array([_eta_velocity_integral(s.u, eta_c) for s in traj.states])
+        X = Field.from_nodal(mesh, np.stack(traj.lagrangian_maps))
+        momenta = fem.blockwise(
+            lambda steps: _lagrangian_momenta(u[steps], X[steps], basis, eta_c),
+            len(traj.states))
+        bary = _eta_nodal_integral(mesh, eta_c, X.values)
 
     mom_res = momenta - momenta[0]
-    bary_res = np.zeros(n)
-    for i in range(1, n):
-        bary_res[i] = np.linalg.norm((bary[i] - bary[i - 1]) / dt - vol_flux[i])
+    bary_res = np.zeros(len(traj.states))
+    bary_res[1:] = np.linalg.norm(np.diff(bary, axis=0) / dt - vol_flux[1:], axis=1)
     return ConservationReport(times=traj.times, momenta=momenta, barycenter=bary,
                               residuals={"momentum": np.abs(mom_res).max(axis=1),
                                          "barycenter": bary_res})
 
 
-def _eta_velocity_integral(u: Field, eta_c: np.ndarray) -> np.ndarray:
-    mesh = u.mesh
-    vals = u.values[mesh.cell_sdofs]
-    return np.einsum("c,cav->v", mesh.areas * eta_c / 3.0, vals)
+def _eta_nodal_integral(mesh, eta_c: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """int eta f of P1 scalar-dof values ([n_steps,] nsdof, ncomp)."""
+    weights = np.bincount(mesh.cell_sdofs.ravel(), minlength=mesh.nsdof,
+                          weights=np.repeat(mesh.areas * eta_c / 3.0, 3))
+    return np.einsum("s,...sv->...v", weights, values)
 
 
-def _eta_position_integral(mesh, eta_c: np.ndarray, X: np.ndarray | None) -> np.ndarray:
-    pos = mesh.nodes if X is None else X
-    fld = Field.from_nodal(mesh, pos)
-    vals = fld.values[mesh.cell_sdofs]
-    return np.einsum("c,cav->v", mesh.areas * eta_c / 3.0, vals)
-
-
-def _lagrangian_momenta(u: Field, X: np.ndarray, basis, eta_c: np.ndarray) -> np.ndarray:
-    mesh = u.mesh
-    out = np.empty(len(basis))
-    for alpha, (A, b) in enumerate(basis.coeffs):
-        p_at_x = X @ A.T + b
-        integrand = Field.from_nodal(mesh, p_at_x)
-        out[alpha] = fem.field_inner(u, integrand, eta_c)
-    return out
+def _lagrangian_momenta(u: Field, X: Field, basis, eta_c: np.ndarray) -> np.ndarray:
+    """int eta u . p_alpha(X) per step of a stack, one column per motion."""
+    return np.column_stack([fem.field_inner(u, Field(u.mesh, 2, X.values @ A.T + b), eta_c)
+                            for A, b in basis.coeffs])
 
 
 def decay_fit(series: np.ndarray, dt: float, drop_fraction: float = 0.1,
@@ -231,10 +219,20 @@ def discrete_spectrum(mesh, params: MaterialParams, count: int,
     nonzero = vals[~kernel_mask]
     gap = float(nonzero.real.min()) if len(nonzero) else np.inf
 
-    kvecs = vecs[:nu, kernel_mask].real
+    kvecs = _real_span(ws, vecs[:nu, kernel_mask])
     angles = _principal_angles(ws, basis, kvecs) if kernel_dim else np.array([])
     return SpectrumReport(eigenvalues=vals, kernel_dim=kernel_dim, gap=gap,
                           eps0=gap, kernel_vectors=kvecs, principal_angles=angles)
+
+
+def _real_span(ws: StokesWorkspace, cvecs: np.ndarray) -> np.ndarray:
+    """Real basis of the span of eigenvectors that come as real vectors and
+    complex-conjugate pairs: the leading eta-weighted principal directions
+    of their real and imaginary parts (a pair's real parts alone lose one
+    direction of the span)."""
+    parts = np.hstack([cvecs.real, cvecs.imag])
+    _, q = np.linalg.eigh(parts.T @ (ws.mass @ parts))             # ascending
+    return parts @ q[:, ::-1][:, :cvecs.shape[1]]
 
 
 def _principal_angles(ws: StokesWorkspace, basis, kvecs: np.ndarray) -> np.ndarray:

@@ -197,22 +197,19 @@ def scalar_stiffness(mesh: RefMesh, cell_scalar_dofs: np.ndarray, n_scalar: int,
 
 # -- facet (edge) integrals ------------------------------------------------
 
-def _edge_mass(length: float) -> np.ndarray:
-    return length / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
-
-
-def facet_load(mesh: RefMesh, facet_nodes: np.ndarray, facet_lengths: np.ndarray,
-               nodal_values: np.ndarray) -> np.ndarray:
-    """Velocity load vector for a surface term (w, v) with w given by P1
-    nodal values on the facet nodes; bubble traces vanish on edges."""
-    load = np.zeros(n_udofs(mesh))
-    for (a, b), length in zip(facet_nodes, facet_lengths):
-        em = _edge_mass(length)
-        wa, wb = nodal_values[a], nodal_values[b]
-        for comp in range(2):
-            load[2 * a + comp] += em[0, 0] * wa[comp] + em[0, 1] * wb[comp]
-            load[2 * b + comp] += em[1, 0] * wa[comp] + em[1, 1] * wb[comp]
-    return load
+def edge_mass_operator(mesh: RefMesh, facet_nodes: np.ndarray,
+                       facet_lengths: np.ndarray) -> sp.csr_matrix:
+    """(n_udofs, 2 n_nodes) operator taking P1 nodal vectors, flattened
+    (n_nodes, 2), to the velocity load of the surface term (w, v) over the
+    given facets; bubble traces vanish on edges."""
+    nf = len(facet_nodes)
+    em = (np.ones((2, 2)) + np.eye(2)) / 6.0          # P1 edge mass over unit length
+    # entry (2 * node_a + comp, 2 * node_b + comp) = length_f * em[a, b]
+    shape = (nf, 2, 2, 2)                              # (facet, a, b, comp)
+    vals = np.broadcast_to(facet_lengths[:, None, None, None] * em[None, :, :, None], shape)
+    rows = np.broadcast_to((2 * facet_nodes[:, :, None] + np.arange(2))[:, :, None, :], shape)
+    cols = np.broadcast_to((2 * facet_nodes[:, :, None] + np.arange(2))[:, None, :, :], shape)
+    return _scatter(rows, cols, vals, (n_udofs(mesh), 2 * mesh.n_nodes))
 
 
 def facet_inner(facet_nodes: np.ndarray, facet_lengths: np.ndarray,
@@ -241,6 +238,25 @@ def apply_sparse(op: sp.spmatrix, arr: np.ndarray, axis: int) -> np.ndarray:
     moved = np.moveaxis(arr, axis, 0)
     out = op @ moved.reshape(moved.shape[0], -1)
     return np.moveaxis(out.reshape((op.shape[0],) + moved.shape[1:]), 0, axis)
+
+
+# Batched evaluations over the time axis of a stack run in blocks of this
+# many steps, which bounds their temporaries.
+STACK_BLOCK = 25
+
+
+def blockwise(fn, n_steps: int) -> np.ndarray:
+    """fn(steps) over consecutive slices of the time axis, concatenated."""
+    return np.concatenate([fn(slice(i, i + STACK_BLOCK))
+                           for i in range(0, n_steps, STACK_BLOCK)])
+
+
+def quadratic_form(op: sp.spmatrix, vecs: np.ndarray):
+    """vec . (op vec) for a vector, or one value per row of a stack."""
+    if vecs.ndim == 1:
+        return float(vecs @ (op @ vecs))
+    return blockwise(lambda steps: np.einsum("ij,ji->i", vecs[steps], op @ vecs[steps].T),
+                     len(vecs))
 
 
 def cell_gradients(field: Field) -> np.ndarray:
@@ -304,13 +320,13 @@ def field_integral(field: Field) -> np.ndarray:
     return np.einsum("c,cav->v", mesh.areas / 3.0, vals)
 
 
-def field_inner(fa: Field, fb: Field, weight_per_cell: np.ndarray | None = None) -> float:
+def field_inner(fa: Field, fb: Field, weight_per_cell: np.ndarray | None = None):
     mesh = fa.mesh
     w = mesh.areas if weight_per_cell is None else mesh.areas * weight_per_cell
-    va = fa.values[mesh.cell_sdofs]
-    vb = fb.values[mesh.cell_sdofs]
+    va = fa.values[..., mesh.cell_sdofs, :]            # (..., nc, 3, ncomp)
+    vb = fb.values[..., mesh.cell_sdofs, :]
     em = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    return float(np.dot(w, np.einsum("cav,ab,cbv->c", va, em, vb)))
+    return _scalar_or_array(np.einsum("...cav,ab,...cbv->...c", va, em, vb) @ w)
 
 
 def hessian_seminorm(field: Field):
@@ -340,13 +356,22 @@ def interpolate_two_phase(mesh: RefMesh, fn_plus, fn_minus, ncomp: int = 1) -> F
 # -- linear solver wrapper -----------------------------------------------------
 
 class Factorized:
-    """Deterministic sparse LU with residual reporting."""
+    """Deterministic sparse LU with residual reporting.
 
-    def __init__(self, matrix: sp.spmatrix):
+    ``quasi_definite`` factors a symmetric quasi-definite matrix [[H, C],
+    [C^T, -D]] (H positive definite, D positive semidefinite) on its
+    diagonal pivots in a symmetric fill-reducing order: such a matrix
+    needs no pivoting for stability (Vanderbei, SIAM J. Optim. 5, 1995),
+    and the symmetric order keeps the fill far below that of a pivoted LU.
+    """
+
+    def __init__(self, matrix: sp.spmatrix, quasi_definite: bool = False):
         self.matrix = matrix.tocsc()
+        options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True}) if quasi_definite else {}
         try:
-            self._lu = spla.splu(self.matrix)
-        except RuntimeError as exc:  # pragma: no cover - depends on data
+            self._lu = spla.splu(self.matrix, **options)
+        except RuntimeError as exc:
             raise SolverError(f"sparse factorization failed: {exc}") from exc
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -359,3 +384,62 @@ class Factorized:
         r = self.matrix @ x - rhs
         scale = max(float(np.linalg.norm(rhs)), 1e-300)
         return float(np.linalg.norm(r)) / scale
+
+
+class CondensedSaddle(Factorized):
+    """Solver for the MINI saddle [[K, -B^T], [B, 0]] with the bubbles
+    condensed out (Arnold, Brezzi & Fortin, Calcolo 21, 1984).
+
+    The dofs are ordered nodal velocities p = [0, n_nodal), bubbles
+    b = [n_nodal, n_velocity), then pressures.  K must be symmetric positive
+    definite, and a bubble couples only to the other bubble of its cell, so
+    K_bb is block diagonal with one 2x2 block per cell and is inverted in
+    closed form.  Eliminating the bubbles and negating the pressure rows
+    leaves the symmetric quasi-definite system
+
+        [[S, C], [C^T, -D]],   S = K_pp - K_pb K_bb^-1 K_bp,
+        C = K_pb K_bb^-1 B_b^T - B_p^T,   D = B_b K_bb^-1 B_b^T,
+
+    which is factored without pivoting; the bubbles are recovered cellwise
+    from u_b = K_bb^-1 (f_b - K_bp u_p + B_b^T q).  ``matrix`` is the full
+    saddle and ``_lu`` the factor of the condensed system.  Every solve
+    takes one step of iterative refinement against the full saddle, which
+    restores the backward stability that pivoting would otherwise provide
+    (Skeel, Math. Comp. 35, 1980).
+    """
+
+    def __init__(self, saddle: sp.spmatrix, n_nodal: int, n_velocity: int):
+        a = saddle.tocsr()
+        n, nb = a.shape[0], n_velocity - n_nodal
+        self._bubbles = slice(n_nodal, n_velocity)
+        keep = np.r_[0:n_nodal, n_velocity:n]
+        eye = sp.identity(n, format="csr")
+        pick_k, pick_b = eye[keep], eye[self._bubbles]     # row selections
+        a_k, a_b = pick_k @ a, pick_b @ a                  # kept and bubble rows
+        kbb = a_b @ pick_b.T
+        # closed-form inverse of each cell's 2x2 block [[k00, k01], [k10, k11]]
+        diag = kbb.diagonal()
+        k00, k11 = diag[0::2], diag[1::2]
+        k01, k10 = kbb.diagonal(1)[0::2], kbb.diagonal(-1)[0::2]
+        det = k00 * k11 - k01 * k10
+        blocks = np.stack([k11, -k01, -k10, k00], axis=1) / det[:, None]
+        kbb_inv = sp.bsr_matrix((blocks.reshape(-1, 2, 2), np.arange(nb // 2),
+                                 np.arange(nb // 2 + 1)), shape=(nb, nb)).tocsr()
+        a_bk = a_b @ pick_k.T
+        a_kb_inv = a_k @ pick_b.T @ kbb_inv                # A_kb K_bb^-1
+        signs = sp.diags(np.r_[np.ones(n_nodal), -np.ones(n - n_velocity)])
+        reduced = signs @ (a_k @ pick_k.T - a_kb_inv @ a_bk)
+        # full rhs -> condensed rhs, and [condensed solution, f_b] -> full solution
+        self._condense = (signs @ (pick_k - a_kb_inv @ pick_b)).tocsr()
+        self._expand = sp.hstack([pick_k.T - pick_b.T @ kbb_inv @ a_bk,
+                                  pick_b.T @ kbb_inv]).tocsr()
+        super().__init__(reduced, quasi_definite=True)
+        self.matrix = a
+
+    def _solve_condensed(self, rhs: np.ndarray) -> np.ndarray:
+        y = super().solve(self._condense @ rhs)
+        return self._expand @ np.concatenate([y, rhs[self._bubbles]])
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        x = self._solve_condensed(rhs)
+        return x + self._solve_condensed(rhs - self.matrix @ x)

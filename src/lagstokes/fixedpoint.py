@@ -21,7 +21,7 @@ from . import fem, kernel
 from .errors import (DomainError, GeometryError, NonContractionError,
                      ParameterError, ValidationError)
 from .mesh import Field
-from .stepper import StokesState, StokesWorkspace, Trajectory, run_linear
+from .stepper import StokesState, StokesWorkspace, Trajectory, run_linear, uvec_stack
 from .transmission import MaterialParams, helmholtz_project, project_out_rigid, rigid_momenta
 
 
@@ -530,7 +530,7 @@ def picard_solve_local(v0: Field, cfg: IterationConfig, params: MaterialParams,
     lin = run_linear(v0, n_cap, cfg.dt, params, workspace=ws, bubble0=bubble0)
     lin_u = Field.stack([s.u for s in lin.states])
     lin_q = Field.stack([s.q for s in lin.states])
-    lin_vecs = np.stack([s.uvec() for s in lin.states])
+    lin_vecs = uvec_stack(lin.states)
     L = cfg.L_bound
     if L <= 0:
         L = max(trajectory_norm(lin_u, lin_q, cfg.dt, cfg.p), 1e-12)
@@ -631,7 +631,7 @@ def _picard_attempt(lin_u, lin_q, lin_vecs, cfg, params, ws, C0, X0, t0, rho0, f
     traj = Trajectory(times=t0 + dt * np.arange(n_steps + 1), states=states,
                       cofactors=list(A_u.mats), lagrangian_maps=list(maps),
                       meta={"displacement": C_end})
-    traj.diagnostics["energy"] = np.array([ws.kinetic_energy(v) for v in u_vecs])
+    traj.diagnostics["energy"] = ws.kinetic_energy(u_vecs)
 
     residual = _substituted_residual(ws, dt, u_vecs, q, rhs_u)
     ball = trajectory_norm(U, Q, dt, p)
@@ -831,8 +831,7 @@ def global_continue(v0: Field, cfg: IterationConfig, params: MaterialParams,
     full = Trajectory(times=times, states=states, cofactors=all_cof,
                       lagrangian_maps=all_maps,
                       meta={"eps0": eps0, "bound": bound})
-    full.diagnostics["energy"] = np.array(
-        [ws.kinetic_energy(s.uvec()) for s in states])
+    full.diagnostics["energy"] = ws.kinetic_energy(uvec_stack(states))
 
     vel = np.sqrt(np.maximum(2.0 * full.diagnostics["energy"], 1e-300))
     try:

@@ -11,6 +11,15 @@ with MINI velocities and doubled P1 pressure.  Traction data enter as
 natural boundary terms of the integration-by-parts identity, so rigid
 motions (zero deformation, zero divergence) are exact discrete equilibria
 and the rigid momenta are conserved to solver roundoff.
+
+The step system is solved with the cell bubbles condensed out
+(:class:`lagstokes.fem.CondensedSaddle`): for dt > 0 the velocity block
+M/dt + A is symmetric positive definite, so the condensed system on the
+nodal velocities and pressures is symmetric quasi-definite and is factored
+without pivoting, and one step of iterative refinement against the full
+saddle keeps each solve backward stable.  The stationary resolvent solves
+keep a pivoted LU of the full saddle, since their velocity block
+lam*M + A is not definite for lam <= 0.
 """
 
 from __future__ import annotations
@@ -56,6 +65,11 @@ class StokesState:
     def from_uvec(cls, mesh: RefMesh, vec: np.ndarray, q: Field, t: float) -> "StokesState":
         return cls(fem.uvec_to_field(mesh, vec), q, t,
                    bubble=vec[2 * mesh.n_nodes:].copy())
+
+
+def uvec_stack(states) -> np.ndarray:
+    """(n_states, nu) velocity dof vectors of a sequence of states."""
+    return np.stack([s.uvec() for s in states])
 
 
 @dataclass
@@ -115,9 +129,11 @@ class StokesWorkspace:
         return sp.bmat([[top, -self.div.T], [self.div, None]], format="csc")
 
     def step_factorization(self, dt: float) -> Factorized:
+        """Solver for saddle(1/dt), the backward-Euler step system, with the
+        bubbles condensed out of its factor; cached per time step."""
         lu = self._step_lu.get(dt)
         if lu is None:
-            lu = Factorized(self.saddle(1.0 / dt))
+            lu = fem.CondensedSaddle(self.saddle(1.0 / dt), 2 * self.mesh.n_nodes, self.nu)
             self._step_lu[dt] = lu
         return lu
 
@@ -126,21 +142,20 @@ class StokesWorkspace:
             self._basis = build_rigid_basis(self.mesh, self.params)
         return self._basis
 
-    # -- scalar diagnostics on full dof vectors -----------------------------
+    # -- scalar diagnostics on full dof vectors or (n_states, nu) stacks ------
 
-    def kinetic_energy(self, uvec: np.ndarray) -> float:
-        return 0.5 * float(uvec @ (self.mass @ uvec))
+    def kinetic_energy(self, uvec: np.ndarray):
+        return 0.5 * fem.quadratic_form(self.mass, uvec)
 
-    def dissipation(self, uvec: np.ndarray) -> float:
+    def dissipation(self, uvec: np.ndarray):
         """1/2 (mu D(u), D(u)); the stiffness quadratic form."""
-        return float(uvec @ (self.stiffness @ uvec))
+        return fem.quadratic_form(self.stiffness, uvec)
 
     def momentum(self, uvec: np.ndarray, basis: RigidBasis | None = None) -> np.ndarray:
+        """(eta u, p_alpha) per rigid motion, with a leading axis for a stack."""
         basis = basis or self.rigid_basis()
-        out = np.empty(len(basis))
-        for i, p in enumerate(basis.fields):
-            out[i] = float(fem.field_to_uvec(p) @ (self.mass @ uvec))
-        return out
+        p_mat = np.column_stack([fem.field_to_uvec(p) for p in basis.fields])
+        return uvec @ (self.mass @ p_mat)
 
     # -- loads --------------------------------------------------------------
 
@@ -155,16 +170,14 @@ class StokesWorkspace:
                 raise ShapeError("h must be (n_gamma_nodes, 2)")
             nodal = np.zeros((mesh.n_nodes, 2))
             nodal[mesh.gamma_nodes] = h
-            load += fem.facet_load(mesh, mesh.interface_facets[:, :2],
-                                   mesh.facet_lengths[:mesh.n_interface_facets], nodal)
+            load += self._edge_mass_operators[True] @ nodal.ravel()
         if data.k is not None:
             k = np.asarray(data.k, dtype=float)
             if k.shape != (len(mesh.gamma_plus_nodes), 2):
                 raise ShapeError("k must be (n_outer_nodes, 2)")
             nodal = np.zeros((mesh.n_nodes, 2))
             nodal[mesh.gamma_plus_nodes] = k
-            load += fem.facet_load(mesh, mesh.outer_facets[:, :2],
-                                   mesh.facet_lengths[mesh.n_interface_facets:], nodal)
+            load += self._edge_mass_operators[False] @ nodal.ravel()
         if data.stress_ibp is not None:
             load += self.stress_ibp_load(data.stress_ibp)
         return load
@@ -185,6 +198,17 @@ class StokesWorkspace:
                                (nc, 3, 2, 2))
         return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
                              shape=(self.nu, 4 * nc))
+
+    @cached_property
+    def _edge_mass_operators(self) -> dict:
+        """interface flag -> (nu, 2 n_nodes) surface load of P1 nodal vectors
+        on Gamma (True) or Gamma_plus (False)."""
+        mesh = self.mesh
+        ni = mesh.n_interface_facets
+        return {True: fem.edge_mass_operator(mesh, mesh.interface_facets[:, :2],
+                                             mesh.facet_lengths[:ni]),
+                False: fem.edge_mass_operator(mesh, mesh.outer_facets[:, :2],
+                                              mesh.facet_lengths[ni:])}
 
     @cached_property
     def _facet_value_operators(self) -> dict:
@@ -327,10 +351,10 @@ def run_linear(u0: Field, n_steps: int, dt: float, params: MaterialParams,
         state = step_linear(state, d, dt, params, ws)
         states.append(state)
     times = dt * np.arange(n_steps + 1)
-    basis = ws.rigid_basis()
-    energy = np.array([ws.kinetic_energy(s.uvec()) for s in states])
-    dissip = np.array([ws.dissipation(s.uvec()) for s in states])
-    momenta = np.array([ws.momentum(s.uvec(), basis) for s in states])
+    vecs = uvec_stack(states)
+    energy = ws.kinetic_energy(vecs)
+    dissip = ws.dissipation(vecs)
+    momenta = ws.momentum(vecs)
     return Trajectory(times, states,
                       diagnostics={"energy": energy, "dissipation": dissip,
                                    "momenta": momenta})

@@ -68,6 +68,21 @@ def test_manifest_lists_every_default(tmp_path):
             assert f"{section}.{key} " in manifest
 
 
+def test_manifest_records_versions(tmp_path):
+    import platform
+
+    import scipy
+    cfg = parse_config(write_cfg(tmp_path, SMALL))
+    cfg.out_dir = tmp_path / "run"
+    assert run_subcommand(cfg, "solve-linear") == 0
+    lines = (tmp_path / "run" / "manifest.txt").read_text().splitlines()
+    assert f"version.python {platform.python_version()}" in lines
+    assert f"version.numpy {np.__version__}" in lines
+    assert f"version.scipy {scipy.__version__}" in lines
+    for key in ("version.lagstokes", "version.numpy_blas", "version.scipy_blas"):
+        assert any(line.startswith(key + " ") for line in lines)
+
+
 def test_solve_linear_on_zero_data(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, "[initial]\nkind = zero\n"
                                            "[solver]\nn_steps = 5\n"))

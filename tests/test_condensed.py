@@ -1,0 +1,92 @@
+"""The backward-Euler step solver with the MINI bubbles condensed out."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from lagstokes import fem
+from lagstokes.errors import SolverError
+from lagstokes.mesh import Field, build_two_phase_disk
+from lagstokes.stepper import StokesWorkspace, run_linear
+from lagstokes.transmission import MaterialParams, project_out_rigid
+
+PARAMS = MaterialParams(2.0, 1.0, 0.3, 0.1)
+DTS = (1e-3, 0.05, 1.0)
+
+
+@pytest.fixture(scope="module", params=[(3, 12), (6, 24), (12, 48)],
+                ids=["3x12", "6x24", "12x48"])
+def mesh(request):
+    return build_two_phase_disk(*request.param, 0.5, 1.0)
+
+
+@pytest.fixture(scope="module", params=["phase_mu", "cell_mu"])
+def ws(request, mesh):
+    if request.param == "phase_mu":
+        return StokesWorkspace(mesh, PARAMS)
+    # smooth cellwise viscosity, as the local path builds from mu(rho0)
+    centroids = mesh.nodes[mesh.cells].mean(axis=1)
+    return StokesWorkspace(mesh, PARAMS,
+                           mu_cells=0.2 + 0.1 * np.hypot(*centroids.T))
+
+
+@pytest.mark.parametrize("dt", DTS)
+def test_condensed_solve_matches_full_saddle(ws, dt):
+    lu = ws.step_factorization(dt)
+    saddle = ws.saddle(1.0 / dt)
+    rng = np.random.default_rng(7)
+    # every row loaded: nodal and bubble momentum rows and the divergence rows
+    rhs = rng.standard_normal(ws.nu + ws.np_)
+    x = lu.solve(rhs)
+    ref = spla.spsolve(saddle.tocsc(), rhs)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert lu.residual(x, rhs) <= 1e-13
+    assert abs(lu.matrix - saddle).max() == 0.0
+
+
+@pytest.mark.parametrize("dt", DTS)
+def test_refined_solve_is_componentwise_backward_stable(ws, dt):
+    # one step of refinement against the full saddle brings the unpivoted
+    # factor's componentwise backward error down to a few units of roundoff
+    lu = ws.step_factorization(dt)
+    rhs = np.random.default_rng(11).standard_normal(ws.nu + ws.np_)
+    x = lu.solve(rhs)
+    omega = np.abs(lu.matrix @ x - rhs) / (abs(lu.matrix) @ np.abs(x) + np.abs(rhs))
+    assert omega.max() <= 1e-15
+
+
+def test_factor_excludes_the_bubbles(ws):
+    lu = ws.step_factorization(0.05)
+    assert lu._lu.shape == (2 * ws.mesh.n_nodes + ws.np_,) * 2
+
+
+@pytest.mark.parametrize("dt", DTS)
+def test_rigid_motion_stays_rigid(ws, dt):
+    lu = ws.step_factorization(dt)
+    for p in ws.rigid_basis().fields:
+        pvec = fem.field_to_uvec(p)
+        x = lu.solve(np.concatenate([ws.mass @ pvec / dt, np.zeros(ws.np_)]))
+        assert np.linalg.norm(x[:ws.nu] - pvec) <= 1e-13 * np.linalg.norm(pvec)
+        assert np.abs(x[ws.nu:]).max() <= 1e-12
+
+
+def test_restart_with_bubbles_continues_exactly():
+    mesh = build_two_phase_disk(3, 12, 0.5, 1.0)
+    ws = StokesWorkspace(mesh, PARAMS)
+    rng = np.random.default_rng(3)
+    u0 = Field.from_nodal(mesh, 0.1 * rng.standard_normal((mesh.n_nodes, 2)))
+    u0 = project_out_rigid(u0, ws.rigid_basis(), PARAMS)
+    whole = run_linear(u0, 10, 0.05, PARAMS, workspace=ws)
+    half = run_linear(u0, 5, 0.05, PARAMS, workspace=ws)
+    rest = run_linear(half.states[-1].u, 5, 0.05, PARAMS, workspace=ws,
+                      bubble0=half.states[-1].bubble)
+    a, b = whole.states[-1].uvec(), rest.states[-1].uvec()
+    assert np.any(whole.states[-1].bubble != 0.0)
+    assert np.linalg.norm(a - b) <= 1e-14 * np.linalg.norm(a)
+
+
+def test_zero_pivot_raises_solver_error():
+    singular = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(SolverError):
+        fem.Factorized(singular, quasi_definite=True)

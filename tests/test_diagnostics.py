@@ -141,6 +141,14 @@ def test_spectrum_kernel_and_positivity(mesh, ws):
     assert rep.gap > 0
 
 
+def test_spectrum_kernel_angles_on_finer_mesh():
+    # on 6x24 the kernel comes back as a complex-conjugate pair plus one
+    # real vector; its real basis must still span all three rigid motions
+    rep = discrete_spectrum(build_two_phase_disk(6, 24, 0.5, 1.0), PARAMS, 8)
+    assert rep.kernel_dim == 3
+    assert rep.principal_angles.max() <= 1e-8
+
+
 def test_spectrum_count_validated(mesh, ws):
     with pytest.raises(ParameterError):
         discrete_spectrum(mesh, PARAMS, 4, ws)

@@ -1,6 +1,7 @@
-"""The time-stacked nonlinear path against step-by-step single-time calls,
-a property test of the stacked cofactor series against its closed-form
-oracle, and run-to-run determinism of the global continuation."""
+"""The time-stacked nonlinear path and trajectory diagnostics against
+step-by-step single-time calls, a property test of the stacked cofactor
+series against its closed-form oracle, and run-to-run determinism of the
+global continuation."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from lagstokes.diagnostics import energy_budget, momentum_and_barycenter
 from lagstokes.fixedpoint import IterationConfig, compute_nonlinear_terms, global_continue
 from lagstokes.kernel import DisplacementGradient, _spectral_norms
 from lagstokes.mesh import Field, build_two_phase_disk
-from lagstokes.stepper import StokesWorkspace
+from lagstokes.stepper import StokesWorkspace, run_linear
 from lagstokes.transmission import MaterialParams, project_out_rigid
 
 PARAMS = MaterialParams(2.0, 1.0, 0.3, 0.1)
@@ -139,3 +140,60 @@ def test_global_continue_csvs_byte_identical(tmp_path):
                                                    "bound": np.full(len(rep.times), rep.bound)})
         payloads.append([(out / name).read_bytes() for name in ("diagnostics.csv", "x_report.csv")])
     assert payloads[0] == payloads[1]
+
+
+def _per_state_budgets(traj, ws):
+    """Energy, dissipation, rigid momenta and barycenter state by state: the
+    loop reference for the batched diagnostics."""
+    mesh = ws.mesh
+    eta_c, mu_c = PARAMS.eta_cells(mesh), PARAMS.mu_cells(mesh)
+    w_eta = mesh.areas * eta_c / 3.0
+    basis = ws.rigid_basis()
+    energy, dissip, momenta, bary = [], [], [], []
+    for i, s in enumerate(traj.states):
+        v = s.uvec()
+        energy.append(0.5 * v @ (ws.mass @ v))
+        flux = np.einsum("c,cav->v", w_eta, s.u.values[mesh.cell_sdofs])
+        if traj.cofactors is None:
+            dissip.append(v @ (ws.stiffness @ v))
+            momenta.append([fem.field_to_uvec(p) @ (ws.mass @ v) for p in basis.fields])
+            bary.append(np.einsum("c,cav->v", w_eta, mesh.nodes[mesh.cells]) if i == 0
+                        else bary[-1] + 0.5 * traj.dt * (prev_flux + flux))
+        else:
+            G = fem.cell_gradients(s.u)
+            Ac = traj.cofactors[i][mesh.cell_sdofs].mean(axis=1)
+            Du = np.einsum("cij,ckj->cik", G, Ac) + np.einsum("cij,ckj->cik", Ac, G)
+            dissip.append(0.5 * (mesh.areas * mu_c) @ np.einsum("cij,cij->c", Du, Du))
+            X = traj.lagrangian_maps[i]
+            momenta.append([fem.field_inner(s.u, Field.from_nodal(mesh, X @ A.T + b), eta_c)
+                            for A, b in basis.coeffs])
+            bary.append(np.einsum("c,cav->v", w_eta, X[mesh.cells]))
+        prev_flux = flux
+    return np.array(energy), np.array(dissip), np.array(momenta), np.array(bary)
+
+
+@pytest.mark.parametrize("path", ["linear", "lagrangian"])
+def test_batched_budgets_match_per_state_loops(path):
+    mesh = build_two_phase_disk(3, 12, 0.5, 1.0)
+    ws = StokesWorkspace(mesh, PARAMS)
+    u0 = fem.interpolate(mesh, lambda x, y: 0.02 * (1.1 - x * x - y * y) * np.array([y, -x]), 2)
+    u0 = project_out_rigid(u0, ws.rigid_basis(), PARAMS)
+    if path == "linear":      # more states than one block of the batched evaluation
+        traj = run_linear(u0, 3 * fem.STACK_BLOCK, DT, PARAMS, workspace=ws)
+    else:
+        traj, _ = global_continue(u0, IterationConfig(dt=DT, horizon=1.5, smallness=10.0),
+                                  PARAMS, workspace=ws)
+    energy, dissip, momenta, bary = _per_state_budgets(traj, ws)
+    eb = energy_budget(traj, PARAMS, ws)
+    mb = momentum_and_barycenter(traj, PARAMS, ws)
+    assert len(traj.states) > fem.STACK_BLOCK
+    assert rel_err(eb.energy, energy) <= RTOL
+    assert rel_err(eb.dissipation, dissip) <= RTOL
+    # the momenta of a rigid-free datum sit at roundoff: compare on the velocity scale
+    assert np.abs(mb.momenta - momenta).max() <= RTOL * np.sqrt(2.0 * energy.max())
+    # the droplet is centred at the origin: compare on the scale of int eta |x|
+    eta_mass = mesh.areas @ PARAMS.eta_cells(mesh)
+    assert np.abs(mb.barycenter - bary).max() <= RTOL * eta_mass
+    if path == "linear":
+        assert rel_err(traj.diagnostics["energy"], energy) <= RTOL
+        assert rel_err(traj.diagnostics["dissipation"], dissip) <= RTOL

@@ -151,6 +151,35 @@ def test_manufactured_traction_rows_consistent():
     assert rates[-1] >= 0.85
 
 
+def _edge_load_oracle(mesh, pairs, lengths, nodal):
+    """(w, v) over the facets by two-point Gauss quadrature, facet by facet."""
+    load = np.zeros(fem.n_udofs(mesh))
+    for (a, b), length in zip(pairs, lengths):
+        for s in (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)):
+            w = (1.0 - s) * nodal[a] + s * nodal[b]
+            load[2 * a:2 * a + 2] += 0.5 * length * (1.0 - s) * w
+            load[2 * b:2 * b + 2] += 0.5 * length * s * w
+    return load
+
+
+def test_traction_loads_match_edge_mass_oracle():
+    m = build_two_phase_disk(6, 24, 0.5, 1.0)
+    w = StokesWorkspace(m, PARAMS)
+    rng = np.random.default_rng(5)
+    h = rng.standard_normal((len(m.gamma_nodes), 2))
+    k = rng.standard_normal((len(m.gamma_plus_nodes), 2))
+    ni = m.n_interface_facets
+    for data, nodes, pairs, lengths in (
+            (StokesData(h=h), m.gamma_nodes, m.interface_facets[:, :2],
+             m.facet_lengths[:ni]),
+            (StokesData(k=k), m.gamma_plus_nodes, m.outer_facets[:, :2],
+             m.facet_lengths[ni:])):
+        nodal = np.zeros((m.n_nodes, 2))
+        nodal[nodes] = h if data.h is not None else k
+        oracle = _edge_load_oracle(m, pairs, lengths, nodal)
+        assert np.abs(w.momentum_load(data) - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+
 def test_resolvent_rigid_identity(mesh, ws):
     basis = ws.rigid_basis()
     f = basis.fields[1]
