@@ -363,6 +363,7 @@ def _cmd_solve_global(cfg: RunConfig) -> int:
         "time": report.times, "x": report.x_values,
         "bound": np.full(len(report.times), report.bound),
     })
+    _write_segments(cfg, report)
     _write_manifest(cfg, {"subcommand": "solve-global",
                           "mesh_hash": mesh.mesh_hash(),
                           "eps0": report.eps0,
@@ -374,6 +375,22 @@ def _cmd_solve_global(cfg: RunConfig) -> int:
         print("continuation failure: X(T) exceeded its bound", file=sys.stderr)
         return 1
     return 0
+
+
+def _write_segments(cfg: RunConfig, report) -> None:
+    """segments.csv: one row per local solve of the continuation."""
+    segs = report.segments
+    n_steps = np.array([r.n_steps for r in segs])
+    write_csv(cfg.out_dir / "segments.csv", {
+        "t0": cfg[("solver", "dt")] * np.concatenate([[0], np.cumsum(n_steps)[:-1]]),
+        "n_steps": n_steps,
+        "iterations": np.array([r.iterations for r in segs]),
+        "last_contraction_factor": np.array([r.contraction_factors[-1] if r.contraction_factors
+                                             else float("nan") for r in segs]),
+        "kappa_max": np.array([r.kappa_max for r in segs], dtype=float),
+        "horizon_halvings": np.array([r.horizon_halvings for r in segs]),
+        "substituted_residual": np.array([r.residual for r in segs], dtype=float),
+    })
 
 
 def _cmd_spectrum(cfg: RunConfig) -> int:

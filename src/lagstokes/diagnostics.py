@@ -19,7 +19,7 @@ import scipy.sparse.linalg as spla
 from . import fem
 from .errors import DomainError, NumericError, ParameterError
 from .mesh import Field
-from .stepper import StokesWorkspace, Trajectory, uvec_stack
+from .stepper import StokesWorkspace, Trajectory
 from .transmission import MaterialParams
 
 
@@ -88,7 +88,8 @@ def energy_budget(traj: Trajectory, params: MaterialParams,
     identity d/dt (1/2 eta|u|^2) + 1/2 (mu D(u), D(u)) = work.
 
     With a Lagrangian trajectory (cofactors present) the dissipation uses
-    the transformed deformation tensor.
+    the transformed deformation tensor.  Series the solver stored with the
+    same workspace are reused.
     """
     if len(traj.states) < 2:
         raise ParameterError("trajectory must contain at least two states")
@@ -96,12 +97,11 @@ def energy_budget(traj: Trajectory, params: MaterialParams,
     ws = workspace or StokesWorkspace(mesh, params)
     n = len(traj.states)
     dt = traj.dt
-    vecs = uvec_stack(traj.states)
-    energy = ws.kinetic_energy(vecs)
+    energy = traj.series("energy", ws, ws.kinetic_energy)
     if traj.cofactors is not None:
         dissip = _lagrangian_dissipation(traj, params.mu_cells(mesh))
     else:
-        dissip = ws.dissipation(vecs)
+        dissip = traj.series("dissipation", ws, ws.dissipation)
     w = np.zeros(n) if work is None else np.asarray(work, dtype=float)
     residual = np.zeros(n)
     residual[1:] = (energy[1:] - energy[:-1]) / dt + dissip[1:] - w[1:]
@@ -126,7 +126,7 @@ def momentum_and_barycenter(traj: Trajectory, params: MaterialParams,
     vol_flux = _eta_nodal_integral(mesh, eta_c, u.values)
 
     if traj.lagrangian_maps is None:
-        momenta = ws.momentum(uvec_stack(traj.states), basis)
+        momenta = traj.series("momenta", ws, lambda vecs: ws.momentum(vecs, basis))
         bary = np.cumsum(np.concatenate([
             _eta_nodal_integral(mesh, eta_c, Field.from_nodal(mesh, mesh.nodes).values)[None],
             0.5 * dt * (vol_flux[:-1] + vol_flux[1:])]), axis=0)

@@ -402,10 +402,12 @@ class CondensedSaddle(Factorized):
 
     which is factored without pivoting; the bubbles are recovered cellwise
     from u_b = K_bb^-1 (f_b - K_bp u_p + B_b^T q).  ``matrix`` is the full
-    saddle and ``_lu`` the factor of the condensed system.  Every solve
-    takes one step of iterative refinement against the full saddle, which
+    saddle and ``_lu`` the factor of the condensed system.  ``solve`` takes
+    one step of iterative refinement against the full saddle, which
     restores the backward stability that pivoting would otherwise provide
-    (Skeel, Math. Comp. 35, 1980).
+    (Skeel, Math. Comp. 35, 1980); ``solve_unrefined`` is the bare
+    condensed solve, for callers that schedule the refinement themselves.
+    Both take a right-hand side or a block of them, one per column.
     """
 
     def __init__(self, saddle: sp.spmatrix, n_nodal: int, n_velocity: int):
@@ -436,10 +438,10 @@ class CondensedSaddle(Factorized):
         super().__init__(reduced, quasi_definite=True)
         self.matrix = a
 
-    def _solve_condensed(self, rhs: np.ndarray) -> np.ndarray:
+    def solve_unrefined(self, rhs: np.ndarray) -> np.ndarray:
         y = super().solve(self._condense @ rhs)
         return self._expand @ np.concatenate([y, rhs[self._bubbles]])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x = self._solve_condensed(rhs)
-        return x + self._solve_condensed(rhs - self.matrix @ x)
+        x = self.solve_unrefined(rhs)
+        return x + self.solve_unrefined(rhs - self.matrix @ x)

@@ -13,7 +13,7 @@ series region.  Everything is deterministic for fixed inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from . import fem, kernel
 from .errors import (DomainError, GeometryError, NonContractionError,
                      ParameterError, ValidationError)
 from .mesh import Field
-from .stepper import StokesState, StokesWorkspace, Trajectory, run_linear, uvec_stack
+from .stepper import StokesState, StokesWorkspace, Trajectory, run_linear
 from .transmission import MaterialParams, helmholtz_project, project_out_rigid, rigid_momenta
 
 
@@ -530,7 +530,7 @@ def picard_solve_local(v0: Field, cfg: IterationConfig, params: MaterialParams,
     lin = run_linear(v0, n_cap, cfg.dt, params, workspace=ws, bubble0=bubble0)
     lin_u = Field.stack([s.u for s in lin.states])
     lin_q = Field.stack([s.q for s in lin.states])
-    lin_vecs = uvec_stack(lin.states)
+    lin_vecs = lin.uvecs
     L = cfg.L_bound
     if L <= 0:
         L = max(trajectory_norm(lin_u, lin_q, cfg.dt, cfg.p), 1e-12)
@@ -629,9 +629,9 @@ def _picard_attempt(lin_u, lin_q, lin_vecs, cfg, params, ws, C0, X0, t0, rho0, f
     states = [StokesState.from_uvec(mesh, u_vecs[m], q[m], t0 + m * dt)
               for m in range(n_steps + 1)]
     traj = Trajectory(times=t0 + dt * np.arange(n_steps + 1), states=states,
+                      diagnostics={"energy": ws.kinetic_energy(u_vecs)},
                       cofactors=list(A_u.mats), lagrangian_maps=list(maps),
-                      meta={"displacement": C_end})
-    traj.diagnostics["energy"] = ws.kinetic_energy(u_vecs)
+                      meta={"displacement": C_end}, uvecs=u_vecs, workspace=ws)
 
     residual = _substituted_residual(ws, dt, u_vecs, q, rhs_u)
     ball = trajectory_norm(U, Q, dt, p)
@@ -658,20 +658,17 @@ def _momentum_rhs(ws, rhs_nl: NonlinearRHS) -> np.ndarray:
 
 
 def _solve_correction(ws, dt, rhs_nl: NonlinearRHS):
-    """Backward-Euler solves for the correction from rest, driven by the
+    """Backward-Euler march for the correction from rest, driven by the
     nonlinear data at steps 1..n; the sequential part of an iterate.
     Returns the velocity dof stack and the velocity and pressure field
     stacks, steps 0..n."""
     mesh = ws.mesh
-    loads = _momentum_rhs(ws, rhs_nl)
-    div = fem.apply_sparse(ws.pressure_mass, rhs_nl.g.values[..., 0], -1)
-    lu = ws.step_factorization(dt)
-    vecs = np.zeros((len(loads) + 1, ws.nu))
-    q = np.zeros((len(loads) + 1, ws.np_))
-    for m, (load, d) in enumerate(zip(loads, div)):
-        sol = lu.solve(np.concatenate([ws.mass @ vecs[m] / dt + load, d]))
-        vecs[m + 1], q[m + 1] = sol[:ws.nu], sol[ws.nu:]
-    return vecs, fem.uvec_to_field(mesh, vecs), Field(mesh, 1, q[..., None])
+    loads = np.concatenate([_momentum_rhs(ws, rhs_nl),
+                            fem.apply_sparse(ws.pressure_mass, rhs_nl.g.values[..., 0], -1)],
+                           axis=1)
+    xs = ws.march(dt, np.zeros(ws.nu + ws.np_), len(loads), lambda m: loads[m])
+    vecs = xs[:, :ws.nu]
+    return vecs, fem.uvec_to_field(mesh, vecs), Field(mesh, 1, xs[:, ws.nu:, None])
 
 
 def _substituted_residual(ws, dt, u_vecs, q: Field, rhs_nl: NonlinearRHS) -> float:
@@ -731,6 +728,7 @@ class XReport:
     decay_rate: float
     a_fit: float = float("nan")
     b_fit: float = float("nan")
+    segments: list = dc_field(default_factory=list)   # IterationReport per local solve
 
 
 def fit_x_recursion(x_values: np.ndarray) -> tuple[float, float]:
@@ -788,9 +786,9 @@ def global_continue(v0: Field, cfg: IterationConfig, params: MaterialParams,
     x_functional = _XFunctional(lin.states, cfg, eps0)
 
     bound = 2.0 * cfg.a_cal * init_norm
-    states = None
+    states, vec_parts = None, []
     C_state, X_state = None, None
-    x_times, x_vals = [], []
+    x_times, x_vals, segments = [], [], []
     exceeded = False
     t = 0.0
     n_done = 0
@@ -806,6 +804,8 @@ def global_continue(v0: Field, cfg: IterationConfig, params: MaterialParams,
             raise NonContractionError(
                 f"segment at t = {t:.4g} failed to converge "
                 f"(last factor {rep.contraction_factors[-1] if rep.contraction_factors else float('nan'):.3g})")
+        segments.append(rep)
+        vec_parts.append(traj.uvecs if states is None else traj.uvecs[1:])
         if states is None:
             states = list(traj.states)
             all_cof = list(traj.cofactors)
@@ -828,10 +828,11 @@ def global_continue(v0: Field, cfg: IterationConfig, params: MaterialParams,
             exceeded = True
 
     times = cfg.dt * np.arange(len(states))
-    full = Trajectory(times=times, states=states, cofactors=all_cof,
-                      lagrangian_maps=all_maps,
-                      meta={"eps0": eps0, "bound": bound})
-    full.diagnostics["energy"] = ws.kinetic_energy(uvec_stack(states))
+    vecs = np.concatenate(vec_parts)
+    full = Trajectory(times=times, states=states,
+                      diagnostics={"energy": ws.kinetic_energy(vecs)},
+                      cofactors=all_cof, lagrangian_maps=all_maps,
+                      meta={"eps0": eps0, "bound": bound}, uvecs=vecs, workspace=ws)
 
     vel = np.sqrt(np.maximum(2.0 * full.diagnostics["energy"], 1e-300))
     try:
@@ -844,7 +845,7 @@ def global_continue(v0: Field, cfg: IterationConfig, params: MaterialParams,
     report = XReport(times=np.asarray(x_times), x_values=np.asarray(x_vals),
                      bound=bound, exceeded=exceeded, eps0=eps0,
                      initial_norm=init_norm, momenta_drift=drift,
-                     decay_rate=rate, a_fit=a_fit, b_fit=b_fit)
+                     decay_rate=rate, a_fit=a_fit, b_fit=b_fit, segments=segments)
     return full, report
 
 

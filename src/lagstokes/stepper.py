@@ -17,9 +17,15 @@ The step system is solved with the cell bubbles condensed out
 M/dt + A is symmetric positive definite, so the condensed system on the
 nodal velocities and pressures is symmetric quasi-definite and is factored
 without pivoting, and one step of iterative refinement against the full
-saddle keeps each solve backward stable.  The stationary resolvent solves
-keep a pivoted LU of the full saddle, since their velocity block
-lam*M + A is not definite for lam <= 0.
+saddle keeps each solve backward stable.  Every backward-Euler recurrence
+(``step_linear``, ``run_linear`` and the Picard corrections) runs through
+one routine, :meth:`StokesWorkspace.march`, which pipelines that
+refinement: the refinement solve of one step and the first solve of the
+next share one two-column triangular solve.  The stationary resolvent
+solves keep a pivoted LU of the full saddle, since their velocity block
+lam*M + A is not definite for lam <= 0.  The Korn constant is a dense
+generalized eigenvalue on small meshes and a shift-invert Lanczos
+iteration on large ones.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .transmission import MaterialParams, RigidBasis, build_rigid_basis
 
 _DATA_CONSISTENCY_TOL = 1e-8
 _KORN_DENSE_LIMIT = 3200
+_KORN_SHIFT = -0.1
 
 
 @dataclass
@@ -128,7 +135,7 @@ class StokesWorkspace:
         top = (coef * self.mass + self.stiffness).tocsr()
         return sp.bmat([[top, -self.div.T], [self.div, None]], format="csc")
 
-    def step_factorization(self, dt: float) -> Factorized:
+    def step_factorization(self, dt: float) -> fem.CondensedSaddle:
         """Solver for saddle(1/dt), the backward-Euler step system, with the
         bubbles condensed out of its factor; cached per time step."""
         lu = self._step_lu.get(dt)
@@ -136,6 +143,50 @@ class StokesWorkspace:
             lu = fem.CondensedSaddle(self.saddle(1.0 / dt), 2 * self.mesh.n_nodes, self.nu)
             self._step_lu[dt] = lu
         return lu
+
+    def march(self, dt: float, x0: np.ndarray, n_steps: int, load=None) -> np.ndarray:
+        """Backward-Euler solution stack, (n_steps + 1, nu + np): row 0 is
+        x0 and row m solves saddle(1/dt) x_m = [M u_{m-1} / dt, 0] + load(m - 1),
+        where u_{m-1} is the velocity part of row m - 1.  ``load`` is None
+        (zero data) or a function of the step index returning a full-length
+        load vector.
+
+        Every step is refined once against the full saddle S, as
+        ``CondensedSaddle.solve`` does, but the refinement is pipelined.
+        With S~^-1 the unrefined condensed solve, step m+1's first solve
+        x~_{m+1} = S~^-1 b~_{m+1} takes its right-hand side from the
+        unrefined x~_m, so it can share one two-column triangular solve with
+        step m's refinement solve of r_m = b_m - S x~_m, where b_m is built
+        from the refined x_{m-1}.  The delivered x_m = x~_m + S~^-1 r_m is
+        once refined against its true right-hand side, as accurate as the
+        per-step refined solve: only its starting guess x~_m differs, by
+        refinement size, and the residual absorbs that.  With n_steps = 1
+        this is exactly ``CondensedSaddle.solve``.
+        """
+        if dt <= 0:
+            raise ParameterError(f"dt must be positive, got {dt}")
+        lu = self.step_factorization(dt)
+        nu = self.nu
+        xs = np.empty((n_steps + 1, nu + self.np_))
+        xs[0] = x0
+        if n_steps == 0:
+            return xs
+
+        def rhs(x, ld):
+            b = np.zeros(xs.shape[1]) if ld is None else ld.copy()
+            b[:nu] += self.mass @ x[:nu] / dt
+            return b
+
+        ld = None if load is None else load(0)
+        b = rhs(x0, ld)                            # b_1, from the exact x_0
+        xt = lu.solve_unrefined(b)                 # x~_1
+        for m in range(1, n_steps):
+            ld = None if load is None else load(m)
+            pair = lu.solve_unrefined(np.column_stack([b - lu.matrix @ xt, rhs(xt, ld)]))
+            xs[m] = xt + pair[:, 0]                # refined x_m
+            b, xt = rhs(xs[m], ld), pair[:, 1]     # b_{m+1} and x~_{m+1}
+        xs[n_steps] = xt + lu.solve_unrefined(b - lu.matrix @ xt)
+        return xs
 
     def rigid_basis(self) -> RigidBasis:
         if self._basis is None:
@@ -158,6 +209,10 @@ class StokesWorkspace:
         return uvec @ (self.mass @ p_mat)
 
     # -- loads --------------------------------------------------------------
+
+    def step_load(self, data: StokesData) -> np.ndarray:
+        """Full-length (momentum, divergence) load of one step's data."""
+        return np.concatenate([self.momentum_load(data), self.divergence_load(data)])
 
     def momentum_load(self, data: StokesData) -> np.ndarray:
         mesh = self.mesh
@@ -301,25 +356,23 @@ def step_linear(state: StokesState, data: StokesData, dt: float,
                 params: MaterialParams,
                 workspace: StokesWorkspace | None = None) -> StokesState:
     """One backward-Euler step of the linear two-phase Stokes system."""
-    if dt <= 0:
-        raise ParameterError(f"dt must be positive, got {dt}")
     mesh = state.u.mesh
     ws = workspace or StokesWorkspace(mesh, params)
-    lu = ws.step_factorization(dt)
-    rhs = np.concatenate([
-        ws.mass @ state.uvec() / dt + ws.momentum_load(data),
-        ws.divergence_load(data),
-    ])
-    sol = lu.solve(rhs)
-    unew = sol[:ws.nu]
+    x0 = np.concatenate([state.uvec(), np.zeros(ws.np_)])
+    load = ws.step_load(data)
+    sol = ws.march(dt, x0, 1, lambda m: load)[1]
     qnew = Field(mesh, 1, sol[ws.nu:][:, None])
-    return StokesState.from_uvec(mesh, unew, qnew, state.t + dt)
+    return StokesState.from_uvec(mesh, sol[:ws.nu], qnew, state.t + dt)
 
 
 @dataclass
 class Trajectory:
     """Uniform-dt sequence of states with scalar diagnostics, plus the
-    optional Lagrangian companions filled by the nonlinear path."""
+    optional Lagrangian companions filled by the nonlinear path.
+
+    ``uvecs`` is the (n_states, nu) velocity dof stack of the states, and
+    ``workspace`` the one whose operators computed ``diagnostics``; the
+    budgets in :mod:`lagstokes.diagnostics` reuse both when they are set."""
 
     times: np.ndarray
     states: list
@@ -327,10 +380,22 @@ class Trajectory:
     cofactors: list | None = None         # nodal A per step
     lagrangian_maps: list | None = None   # nodal X(xi, t) per step
     meta: dict = dc_field(default_factory=dict)
+    uvecs: np.ndarray | None = None
+    workspace: StokesWorkspace | None = None
 
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
+
+    def velocity_stack(self) -> np.ndarray:
+        return self.uvecs if self.uvecs is not None else uvec_stack(self.states)
+
+    def series(self, name: str, workspace: StokesWorkspace, compute) -> np.ndarray:
+        """The stored diagnostic series ``name`` if it was computed with the
+        operators of ``workspace``, else compute(velocity stack)."""
+        if workspace is self.workspace and name in self.diagnostics:
+            return self.diagnostics[name]
+        return compute(self.velocity_stack())
 
 
 def run_linear(u0: Field, n_steps: int, dt: float, params: MaterialParams,
@@ -341,23 +406,31 @@ def run_linear(u0: Field, n_steps: int, dt: float, params: MaterialParams,
     ``data`` may be None, a single StokesData reused each step, or a
     callable step_index -> StokesData.  ``bubble0`` carries the initial
     bubble coefficients when restarting from a previous discrete state.
+    The states after the first view the solution stack of the march.
     """
     mesh = u0.mesh
     ws = workspace or StokesWorkspace(mesh, params)
-    state = StokesState(u0, Field.zeros(mesh, 1), 0.0, bubble=bubble0)
-    states = [state]
-    for m in range(n_steps):
-        d = data(m) if callable(data) else (data or StokesData.zero())
-        state = step_linear(state, d, dt, params, ws)
-        states.append(state)
+    nu, nn = ws.nu, mesh.n_nodes
+    state0 = StokesState(u0, Field.zeros(mesh, 1), 0.0, bubble=bubble0)
+    if data is None:
+        load = None
+    elif callable(data):
+        load = lambda m: ws.step_load(data(m))     # noqa: E731
+    else:
+        fixed = ws.step_load(data)
+        load = lambda m: fixed                     # noqa: E731
+    xs = ws.march(dt, np.concatenate([state0.uvec(), np.zeros(ws.np_)]), n_steps, load)
     times = dt * np.arange(n_steps + 1)
-    vecs = uvec_stack(states)
-    energy = ws.kinetic_energy(vecs)
-    dissip = ws.dissipation(vecs)
-    momenta = ws.momentum(vecs)
+    vecs = xs[:, :nu]
+    states = [state0] + [
+        StokesState(fem.uvec_to_field(mesh, vecs[m]), Field(mesh, 1, xs[m, nu:, None]),
+                    float(times[m]), bubble=vecs[m, 2 * nn:])
+        for m in range(1, n_steps + 1)]
     return Trajectory(times, states,
-                      diagnostics={"energy": energy, "dissipation": dissip,
-                                   "momenta": momenta})
+                      diagnostics={"energy": ws.kinetic_energy(vecs),
+                                   "dissipation": ws.dissipation(vecs),
+                                   "momenta": ws.momentum(vecs)},
+                      uvecs=vecs, workspace=ws)
 
 
 def solve_resolvent(lam: complex, f: Field, params: MaterialParams,
@@ -455,27 +528,27 @@ def korn_constant(mesh: RefMesh, params: MaterialParams, seed: int = 0) -> float
         vals = eigh(a_red, b_red, eigvals_only=True, subset_by_index=[0, 0])
         return float(vals[0])
 
-    import warnings
-
+    # shift-invert Lanczos on the pencil restricted to C^T w = 0 (C the
+    # constraint columns): K = A - shift B is positive definite for shift < 0,
+    # and the constrained solve of K x = r is K^-1 r corrected within the
+    # span of K^-1 C.  Its image lies in the constraint space and it is
+    # B-self-adjoint, so its largest eigenvalue is 1 / (Korn constant - shift).
     import scipy.sparse.linalg as spla
-    rng = np.random.default_rng(seed)
-    x0 = rng.standard_normal((2 * nn, 4))
-    y = spla.spsolve(b_h1.tocsc(), constraints)
-    shift = Factorized((a_p1 + 1e-3 * b_h1).tocsc())
+    k_lu = Factorized((a_p1 - _KORN_SHIFT * b_h1).tocsc(), quasi_definite=True)
+    k_c = k_lu.solve(constraints)
+    gram = constraints.T @ k_c
 
-    class _Prec(spla.LinearOperator):
-        def __init__(self):
-            super().__init__(dtype=float, shape=a_p1.shape)
+    def constrained_solve(r):
+        z = k_lu.solve(r)
+        return z - k_c @ np.linalg.solve(gram, constraints.T @ z)
 
-        def _matvec(self, x):
-            return shift.solve(x)
-
+    v0 = np.random.default_rng(seed).standard_normal(2 * nn)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            vals, _ = spla.lobpcg(a_p1, x0, B=b_h1, Y=np.asarray(y), M=_Prec(),
-                                  largest=False, tol=1e-9, maxiter=800)
-    except Exception as exc:  # pragma: no cover - solver-dependent
+        vals = spla.eigsh(a_p1, k=1, M=b_h1, sigma=_KORN_SHIFT, which="LM", v0=v0,
+                          OPinv=spla.LinearOperator(a_p1.shape, matvec=constrained_solve,
+                                                    dtype=float),
+                          return_eigenvectors=False)
+    except spla.ArpackError as exc:
         raise NumericError(f"Korn eigen-solver failed: {exc}") from exc
     if not np.all(np.isfinite(vals)) or np.min(vals) <= 0:
         raise NumericError("Korn eigen-solver returned an invalid spectrum")

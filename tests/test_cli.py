@@ -189,3 +189,22 @@ def test_snapshot_written_when_requested(tmp_path):
     mesh = cfg.mesh()
     fld, t = read_field(mesh, snapdir / "step_000020_u.fld")
     assert t == pytest.approx(1.0)
+
+
+def test_solve_global_writes_segment_record(tmp_path):
+    cfg = parse_config(write_cfg(tmp_path, SMALL + "[iteration]\nhorizon = 1.5\n"))
+    cfg.out_dir = tmp_path / "glob"
+    assert run_subcommand(cfg, "solve-global") == 0
+    seg = read_csv(cfg.out_dir / "segments.csv")
+    assert list(seg) == ["t0", "n_steps", "iterations", "last_contraction_factor",
+                         "kappa_max", "horizon_halvings", "substituted_residual"]
+    # one row per local solve: the X report has one row per segment end
+    x_times = read_csv(cfg.out_dir / "x_report.csv")["time"]
+    assert len(seg["t0"]) == len(x_times) > 1
+    assert seg["n_steps"].sum() == 30
+    assert np.allclose(seg["t0"] + 0.05 * seg["n_steps"], x_times, rtol=0, atol=1e-12)
+    assert seg["t0"][0] == 0.0
+    assert np.all(seg["iterations"] >= 1) and np.all(seg["horizon_halvings"] >= 0)
+    assert np.all(seg["last_contraction_factor"] < 0.9)
+    assert np.all((seg["kappa_max"] > 0) & (seg["kappa_max"] < 1))
+    assert np.all(seg["substituted_residual"] < 1e-8)

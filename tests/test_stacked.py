@@ -197,3 +197,28 @@ def test_batched_budgets_match_per_state_loops(path):
     if path == "linear":
         assert rel_err(traj.diagnostics["energy"], energy) <= RTOL
         assert rel_err(traj.diagnostics["dissipation"], dissip) <= RTOL
+
+
+@pytest.mark.parametrize("path", ["linear", "lagrangian"])
+def test_budgets_from_stored_series_equal_recomputed(path):
+    # with the solver's own workspace the budgets reuse the trajectory's stored
+    # velocity stack and series; a fresh workspace recomputes them from the
+    # stack, and both give the same bits
+    mesh = build_two_phase_disk(3, 12, 0.5, 1.0)
+    ws = StokesWorkspace(mesh, PARAMS)
+    u0 = fem.interpolate(mesh, lambda x, y: 0.02 * (1.1 - x * x - y * y) * np.array([y, -x]), 2)
+    u0 = project_out_rigid(u0, ws.rigid_basis(), PARAMS)
+    if path == "linear":
+        traj = run_linear(u0, 30, DT, PARAMS, workspace=ws)
+    else:
+        traj, _ = global_continue(u0, IterationConfig(dt=DT, horizon=1.5, smallness=10.0),
+                                  PARAMS, workspace=ws)
+    assert traj.workspace is ws and traj.uvecs.shape == (len(traj.states), ws.nu)
+    fresh = StokesWorkspace(mesh, PARAMS)
+    assert traj.series("energy", fresh, lambda vecs: None) is None
+    for budget in (energy_budget, momentum_and_barycenter):
+        reused = budget(traj, PARAMS, ws).csv_columns()
+        recomputed = budget(traj, PARAMS, fresh).csv_columns()
+        assert list(reused) == list(recomputed)
+        for name in reused:
+            assert np.array_equal(reused[name], recomputed[name]), name

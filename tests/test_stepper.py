@@ -245,3 +245,28 @@ def test_korn_constant_stable_and_frame_invariant(mesh):
                     outer_facets=mesh.outer_facets, outer_phase=mesh.outer_phase)
     k3 = korn_constant(moved, PARAMS)
     assert abs(k3 - k1) <= 1e-10
+
+
+def test_korn_constant_branches_agree(monkeypatch):
+    # the dense branch and the sparse shift-invert branch on the same 6x24 mesh
+    from lagstokes import stepper
+    m2 = build_two_phase_disk(6, 24, 0.5, 1.0)
+    assert 2 * m2.n_nodes <= stepper._KORN_DENSE_LIMIT
+    dense = korn_constant(m2, PARAMS)
+    monkeypatch.setattr(stepper, "_KORN_DENSE_LIMIT", 2 * m2.n_nodes - 1)
+    sparse = korn_constant(m2, PARAMS)
+    assert abs(sparse - dense) <= 1e-6 * dense
+
+
+def test_korn_constant_non_convergence_raises(monkeypatch):
+    import scipy.sparse.linalg as spla
+    from lagstokes import stepper
+    from lagstokes.errors import NumericError
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+
+    monkeypatch.setattr(stepper, "_KORN_DENSE_LIMIT", 0)
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    with pytest.raises(NumericError):
+        korn_constant(build_two_phase_disk(3, 12, 0.5, 1.0), PARAMS)
