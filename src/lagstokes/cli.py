@@ -235,7 +235,7 @@ def build_initial(cfg: RunConfig, mesh: RefMesh, params: MaterialParams,
         rng = np.random.default_rng(cfg.seed)
         u0 = Field.from_nodal(mesh, amp * rng.standard_normal((mesh.n_nodes, 2)))
     u0 = project_out_rigid(u0, basis, params)
-    u0, _ = helmholtz_project(u0, params)
+    u0, _ = helmholtz_project(u0, params, workspace)
     return u0
 
 

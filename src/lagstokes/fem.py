@@ -195,6 +195,15 @@ def scalar_stiffness(mesh: RefMesh, cell_scalar_dofs: np.ndarray, n_scalar: int,
     return _scatter(r, c, vals, (n_scalar, n_scalar))
 
 
+def gradient_load(mesh: RefMesh, w_cells: np.ndarray) -> np.ndarray:
+    """(w, grad phi) for a cellwise-constant vector field w (n_cells, 2)
+    against every continuous P1 test function phi, one entry per node."""
+    load = np.zeros(mesh.n_nodes)
+    contrib = np.einsum("cak,ck->ca", mesh.grads, w_cells) * mesh.areas[:, None]
+    np.add.at(load, mesh.cells.ravel(), contrib.ravel())
+    return load
+
+
 # -- facet (edge) integrals ------------------------------------------------
 
 def edge_mass_operator(mesh: RefMesh, facet_nodes: np.ndarray,
@@ -311,13 +320,6 @@ def field_h1_semi(field: Field):
 
 def field_h1(field: Field):
     return _scalar_or_array(np.hypot(field_l2(field), field_h1_semi(field)))
-
-
-def field_integral(field: Field) -> np.ndarray:
-    """Exact integral of a P1 field over the broken domain, per component."""
-    mesh = field.mesh
-    vals = field.values[mesh.cell_sdofs]
-    return np.einsum("c,cav->v", mesh.areas / 3.0, vals)
 
 
 def field_inner(fa: Field, fb: Field, weight_per_cell: np.ndarray | None = None):

@@ -213,23 +213,6 @@ class NonlinearRHS:
     j_outer: np.ndarray                # (n_outer_facets, 2)
     f_ext: Field | None = None
 
-    def compatibility_residual(self) -> float:
-        """|(g, 1) - boundary flux of R| at a single time: the
-        divergence-form identity.
-
-        The flux uses exact facet normals, so the identity holds to
-        roundoff for linear R with matching constant g."""
-        mesh = self.g.mesh
-        total_g = float(fem.field_integral(self.g)[0])
-        r_outer = self.R.minus() if mesh.outer_phase < 0 else self.R.plus()
-        flux = 0.0
-        off = mesh.n_interface_facets
-        for k, (a, b, _) in enumerate(mesh.outer_facets):
-            n = mesh.facet_normals[off + k]
-            length = mesh.facet_lengths[off + k]
-            flux += 0.5 * length * (r_outer[a] + r_outer[b]) @ n
-        return abs(total_g - flux)
-
 
 def _history(hist, n: int):
     """Mesh and the values of the last (up to) ``n`` entries of a list of
@@ -521,7 +504,7 @@ def picard_solve_local(v0: Field, cfg: IterationConfig, params: MaterialParams,
     else:
         ws = workspace or StokesWorkspace(mesh, params)
     if C0 is None:
-        v0, _ = helmholtz_project(v0, params)
+        v0, _ = helmholtz_project(v0, params, ws)
 
     # horizon from the measured linear bound; every attempt takes its linear
     # part from the leading states of this run
@@ -767,7 +750,7 @@ def global_continue(v0: Field, cfg: IterationConfig, params: MaterialParams,
     moms = rigid_momenta(v0, basis, params)
     if np.abs(moms).max() > orthogonality_tol * max(v0n, 1e-30):
         v0 = project_out_rigid(v0, basis, params)
-    v0, _ = helmholtz_project(v0, params)
+    v0, _ = helmholtz_project(v0, params, ws)
     init_norm = fem.field_h1(v0) + fem.hessian_seminorm(v0)
     if init_norm > cfg.smallness:
         raise ValidationError(

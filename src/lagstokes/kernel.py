@@ -169,18 +169,6 @@ class CofactorField:
         return CofactorField(self.mesh, self.mats[steps], self.orders[steps],
                              self.kappas[steps])
 
-    def identity_residual(self, C: DisplacementGradient) -> float:
-        prod = mul2x2(self.mats, _i_plus(C.mats))
-        prod[..., 0, 0] -= 1.0
-        prod[..., 1, 1] -= 1.0
-        return float(_spectral_norms(prod).max())
-
-    def minus_identity_norm(self) -> float:
-        d = self.mats.copy()
-        d[..., 0, 0] -= 1.0
-        d[..., 1, 1] -= 1.0
-        return float(_spectral_norms(d).max())
-
 
 @dataclass
 class TransformedNormal:
@@ -352,10 +340,3 @@ def deformation_tensors(u: Field, A: CofactorField,
     H = np.einsum("nij,njk->nik", G, ImAt) + np.einsum("nij,njk->nik", ImA, Gt)
     D_tilde = np.einsum("nij,njk->nik", D, ImA)
     return DeformationTensors(D=D, Du=Du, H=H, D_tilde=D_tilde)
-
-
-def identity_cofactor(mesh: RefMesh) -> CofactorField:
-    mats = np.zeros((mesh.nsdof, 2, 2))
-    mats[:, 0, 0] = 1.0
-    mats[:, 1, 1] = 1.0
-    return CofactorField(mesh, mats)

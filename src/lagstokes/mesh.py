@@ -166,6 +166,12 @@ class RefMesh:
         """Scalar dof count: one per node plus one extra per interface node."""
         return self.n_nodes + len(self.gamma_nodes)
 
+    @cached_property
+    def free_potential_nodes(self) -> np.ndarray:
+        """Nodes off Gamma_plus: the unknowns of a continuous P1 potential
+        that vanishes on the outer boundary."""
+        return np.setdiff1d(np.arange(self.n_nodes), self.gamma_plus_nodes)
+
     # -- sparse operators on scalar dofs, built on first use -------------------
 
     @cached_property

@@ -23,9 +23,10 @@ one routine, :meth:`StokesWorkspace.march`, which pipelines that
 refinement: the refinement solve of one step and the first solve of the
 next share one two-column triangular solve.  The stationary resolvent
 solves keep a pivoted LU of the full saddle, since their velocity block
-lam*M + A is not definite for lam <= 0.  The Korn constant is a dense
-generalized eigenvalue on small meshes and a shift-invert Lanczos
-iteration on large ones.
+lam*M + A is not definite for lam <= 0.  The workspace also owns the
+factor of the eta-weighted Helmholtz projection, built on first use.  The
+Korn constant is a shift-invert Lanczos iteration on the rigid-constrained
+pencil.
 """
 
 from __future__ import annotations
@@ -41,10 +42,9 @@ from .errors import (DataError, NumericError, ParameterError, ResolventError,
                      ShapeError)
 from .fem import Factorized
 from .mesh import Field, RefMesh
-from .transmission import MaterialParams, RigidBasis, build_rigid_basis
+from .transmission import MaterialParams, RigidBasis, _ProjectionWorkspace, build_rigid_basis
 
 _DATA_CONSISTENCY_TOL = 1e-8
-_KORN_DENSE_LIMIT = 3200
 _KORN_SHIFT = -0.1
 
 
@@ -187,6 +187,12 @@ class StokesWorkspace:
             b, xt = rhs(xs[m], ld), pair[:, 1]     # b_{m+1} and x~_{m+1}
         xs[n_steps] = xt + lu.solve_unrefined(b - lu.matrix @ xt)
         return xs
+
+    @cached_property
+    def projection(self) -> _ProjectionWorkspace:
+        """Factor of the eta-weighted Helmholtz projection on the nodal block
+        of the velocity mass; see :func:`lagstokes.helmholtz_project`."""
+        return _ProjectionWorkspace(self.mesh, self.mass)
 
     def rigid_basis(self) -> RigidBasis:
         if self._basis is None:
@@ -340,11 +346,8 @@ class StokesWorkspace:
         gcells = fem.cell_values(data.g)[:, 0]
         contrib = (mesh.areas * gcells)[:, None] / 3.0 * np.ones(3)
         np.add.at(gl, mesh.cells.ravel(), contrib.ravel())
-        rl = np.zeros(mesh.n_nodes)
-        rcells = fem.cell_values(data.R)
-        rc = np.einsum("cak,ck->ca", mesh.grads, rcells) * mesh.areas[:, None]
-        np.add.at(rl, mesh.cells.ravel(), rc.ravel())
-        free = np.setdiff1d(np.arange(mesh.n_nodes), mesh.gamma_plus_nodes)
+        rl = fem.gradient_load(mesh, fem.cell_values(data.R))
+        free = mesh.free_potential_nodes
         mismatch = np.linalg.norm(gl[free] + rl[free])
         scale = max(gnorm, fem.field_l2(data.R), 1e-300)
         if mismatch > _DATA_CONSISTENCY_TOL * scale * np.sqrt(len(free)):
@@ -518,15 +521,6 @@ def korn_constant(mesh: RefMesh, params: MaterialParams, seed: int = 0) -> float
     basis = build_rigid_basis(mesh, params)
     constraints = np.column_stack(
         [m_eta @ p.plus().ravel() for p in basis.fields])
-
-    if 2 * nn <= _KORN_DENSE_LIMIT:
-        q, _ = np.linalg.qr(constraints, mode="complete")
-        z = q[:, constraints.shape[1]:]
-        a_red = z.T @ (a_p1 @ z)
-        b_red = z.T @ (b_h1 @ z)
-        from scipy.linalg import eigh
-        vals = eigh(a_red, b_red, eigvals_only=True, subset_by_index=[0, 0])
-        return float(vals[0])
 
     # shift-invert Lanczos on the pencil restricted to C^T w = 0 (C the
     # constraint columns): K = A - shift B is positive definite for shift < 0,

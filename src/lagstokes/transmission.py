@@ -9,11 +9,16 @@ as the eta-weighted L2 projection of nodal fields onto the discretely
 weighted-divergence-free subspace (a mixed solve); that algebraic form is
 what makes the projection idempotent and exactly orthogonal to rigid
 motions in floating point.
+
+Each transmission solve factors its operator for that call.  The
+projection factor is owned by a :class:`lagstokes.stepper.StokesWorkspace`
+when the caller passes one, and is built for the call otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,6 +27,9 @@ from . import fem
 from .errors import GeometryError, ParameterError, ShapeError
 from .fem import Factorized
 from .mesh import Field, RefMesh
+
+if TYPE_CHECKING:
+    from .stepper import StokesWorkspace
 
 
 @dataclass(frozen=True)
@@ -77,7 +85,7 @@ class _TransmissionWorkspace:
         self.params = params
         inv_eta = 1.0 / params.eta_cells(mesh)
         self.stiffness = fem.scalar_stiffness(mesh, mesh.cells, mesh.n_nodes, inv_eta)
-        self.free = np.setdiff1d(np.arange(mesh.n_nodes), mesh.gamma_plus_nodes)
+        self.free = mesh.free_potential_nodes
         self.lu = Factorized(self.stiffness[np.ix_(self.free, self.free)])
 
     def solve(self, rhs: np.ndarray, dirichlet: np.ndarray | None = None):
@@ -92,31 +100,6 @@ class _TransmissionWorkspace:
         residual = self.lu.residual(sol, red)
         theta[self.free] = sol
         return theta, residual
-
-
-_workspaces: dict[tuple, _TransmissionWorkspace] = {}
-
-
-def _workspace(mesh: RefMesh, params: MaterialParams) -> _TransmissionWorkspace:
-    key = (id(mesh), params.eta_plus, params.eta_minus)
-    ws = _workspaces.get(key)
-    if ws is None or ws.mesh is not mesh:
-        ws = _TransmissionWorkspace(mesh, params)
-        _workspaces[key] = ws
-    return ws
-
-
-def _gradient_rhs_from_field(mesh: RefMesh, f: Field) -> np.ndarray:
-    """(f, grad phi) against continuous P1 test functions; exact for P1 f."""
-    fc = fem.cell_values(f)                      # (nc, 2)
-    return _gradient_rhs_from_cells(mesh, fc)
-
-
-def _gradient_rhs_from_cells(mesh: RefMesh, w_cells: np.ndarray) -> np.ndarray:
-    rhs = np.zeros(mesh.n_nodes)
-    contrib = np.einsum("cak,ck->ca", mesh.grads, w_cells) * mesh.areas[:, None]
-    np.add.at(rhs, mesh.cells.ravel(), contrib.ravel())
-    return rhs
 
 
 def _jump_lift(mesh: RefMesh, beta: np.ndarray) -> Field:
@@ -142,9 +125,8 @@ def solve_weak_transmission(f: Field, params: MaterialParams) -> TransmissionSol
         raise ShapeError("transmission data must be a vector field")
     if not np.all(np.isfinite(f.values)):
         raise ParameterError("transmission data contain non-finite values")
-    ws = _workspace(mesh, params)
-    rhs = _gradient_rhs_from_field(mesh, f)
-    theta, residual = ws.solve(rhs)
+    ws = _TransmissionWorkspace(mesh, params)
+    theta, residual = ws.solve(fem.gradient_load(mesh, fem.cell_values(f)))
     sol = _compose(mesh, theta, None)
     fnorm = fem.field_l2(f)
     ratio = fem.field_h1_semi(sol) / fnorm if fnorm > 0 else 0.0
@@ -163,9 +145,8 @@ def solve_transmission_with_jumps(alpha: Field, beta: np.ndarray, gamma: np.ndar
         raise ShapeError("beta must give one value per Gamma node")
     if gamma.shape != mesh.gamma_plus_nodes.shape:
         raise ShapeError("gamma must give one value per Gamma_plus node")
-    ws = _workspace(mesh, params)
-    rhs = _gradient_rhs_from_field(mesh, alpha)
-    return _solve_with_jumps(ws, rhs, beta, gamma,
+    rhs = fem.gradient_load(mesh, fem.cell_values(alpha))
+    return _solve_with_jumps(_TransmissionWorkspace(mesh, params), rhs, beta, gamma,
                              data_norm=fem.field_l2(alpha))
 
 
@@ -176,7 +157,7 @@ def _solve_with_jumps(ws: _TransmissionWorkspace, rhs: np.ndarray,
     lift = _jump_lift(mesh, beta)
     inv_eta = 1.0 / ws.params.eta_cells(mesh)
     grad_lift = fem.cell_gradients(lift)[:, 0, :]          # (nc, 2)
-    rhs = rhs - _gradient_rhs_from_cells(mesh, inv_eta[:, None] * grad_lift)
+    rhs = rhs - fem.gradient_load(mesh, inv_eta[:, None] * grad_lift)
     theta, residual = ws.solve(rhs, dirichlet=gamma)
     sol = _compose(mesh, theta, lift)
     bnorm = fem.facet_l2(mesh.interface_facets[:, :2], _gamma_lengths(mesh),
@@ -235,8 +216,7 @@ def pressure_reconstruct_K(u: Field, params: MaterialParams,
     inv_eta = 1.0 / params.eta_cells(mesh)
     w_cells = inv_eta[:, None] * div_s - grad_d
 
-    ws = _workspace(mesh, params)
-    rhs = _gradient_rhs_from_cells(mesh, w_cells)
+    rhs = fem.gradient_load(mesh, w_cells)
 
     gn = mesh.gamma_nodes
     nrm = mesh.node_normals_gamma
@@ -252,50 +232,32 @@ def pressure_reconstruct_K(u: Field, params: MaterialParams,
     gamma = np.einsum("ni,nij,nj->n", onrm, S[osd], onrm) - d[osd]
 
     alpha_norm = float(np.sqrt(np.dot(mesh.areas, np.einsum("ck,ck->c", w_cells, w_cells))))
-    return _solve_with_jumps(ws, rhs, beta, gamma, data_norm=alpha_norm)
+    return _solve_with_jumps(_TransmissionWorkspace(mesh, params), rhs, beta, gamma,
+                             data_norm=alpha_norm)
 
 
 # -- weighted Helmholtz projection ------------------------------------------
 
 class _ProjectionWorkspace:
-    """Factorized mixed system of the nodal eta-weighted projection."""
+    """Factorized mixed system of the nodal eta-weighted projection, built
+    from the eta-weighted MINI velocity mass, whose nodal block it uses."""
 
-    def __init__(self, mesh: RefMesh, params: MaterialParams):
-        self.mesh = mesh
-        nn = mesh.n_nodes
-        eta_c = params.eta_cells(mesh)
-        m_full = fem.velocity_mass(mesh, eta_c)
-        g_full = fem.grad_coupling(mesh, mesh.cells, nn)
-        nodal = np.arange(2 * nn)
-        free = np.setdiff1d(np.arange(nn), mesh.gamma_plus_nodes)
-        self.free = free
-        m = m_full[np.ix_(nodal, nodal)]
-        g = g_full[np.ix_(nodal, free)]
-        self.m = m.tocsr()
-        system = sp.bmat([[m, g], [g.T, None]], format="csc")
-        self.lu = Factorized(system)
+    def __init__(self, mesh: RefMesh, velocity_mass: sp.spmatrix):
+        nodal = np.arange(2 * mesh.n_nodes)
+        free = mesh.free_potential_nodes
+        self.m = velocity_mass[np.ix_(nodal, nodal)].tocsr()
+        g = fem.grad_coupling(mesh, mesh.cells, mesh.n_nodes)[np.ix_(nodal, free)]
+        self.n_free = len(free)
+        self.lu = Factorized(sp.bmat([[self.m, g], [g.T, None]], format="csc"))
 
-    def project(self, fvec: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        rhs = np.concatenate([self.m @ fvec, np.zeros(len(self.free))])
-        sol = self.lu.solve(rhs)
-        res = self.lu.residual(sol, rhs)
-        n = 2 * self.mesh.n_nodes
-        return sol[:n], sol[n:], res
+    def project(self, fvec: np.ndarray) -> np.ndarray:
+        """Projected nodal velocity vector w of fvec."""
+        sol = self.lu.solve(np.concatenate([self.m @ fvec, np.zeros(self.n_free)]))
+        return sol[:len(fvec)]
 
 
-_proj_workspaces: dict[tuple, _ProjectionWorkspace] = {}
-
-
-def _proj_workspace(mesh: RefMesh, params: MaterialParams) -> _ProjectionWorkspace:
-    key = (id(mesh), params.eta_plus, params.eta_minus)
-    ws = _proj_workspaces.get(key)
-    if ws is None or ws.mesh is not mesh:
-        ws = _ProjectionWorkspace(mesh, params)
-        _proj_workspaces[key] = ws
-    return ws
-
-
-def helmholtz_project(f: Field, params: MaterialParams) -> tuple[Field, Field]:
+def helmholtz_project(f: Field, params: MaterialParams,
+                      workspace: StokesWorkspace | None = None) -> tuple[Field, Field]:
     """Split f = Pf + Qf with Pf in the discrete weighted-divergence-free
     space {v : (v, grad phi) = 0 for all potentials phi vanishing on
     Gamma_plus} and Qf the eta-weighted gradient complement.
@@ -303,16 +265,23 @@ def helmholtz_project(f: Field, params: MaterialParams) -> tuple[Field, Field]:
     The split is the algebraic eta-orthogonal projection on nodal fields:
     applying it twice reproduces Pf, the decomposition is exact by
     construction, and (eta Qf, p) = 0 to roundoff for every rigid p.
+
+    ``workspace``, a StokesWorkspace on f's mesh and params, supplies its
+    cached projection factor; without one the factor is built for this
+    call only.
     """
     mesh = f.mesh
     if f.ncomp != 2:
         raise ShapeError("can only project vector fields")
-    ws = _proj_workspace(mesh, params)
-    fvec = f.plus().ravel()
-    wvec, _, _ = ws.project(fvec)
+    if workspace is None:
+        proj = _ProjectionWorkspace(mesh, fem.velocity_mass(mesh, params.eta_cells(mesh)))
+    elif workspace.mesh is not mesh:
+        raise ShapeError("the workspace belongs to another mesh")
+    else:
+        proj = workspace.projection
+    wvec = proj.project(f.plus().ravel())
     pf = Field.from_nodal(mesh, wvec.reshape(mesh.n_nodes, 2))
-    qf = f - pf
-    return pf, qf
+    return pf, f - pf
 
 
 # -- rigid motions -----------------------------------------------------------

@@ -158,10 +158,28 @@ def test_cutoff_bound():
 
 # -- nonlinear terms ----------------------------------------------------------------
 
+def identity_cofactor(mesh):
+    return kernel.CofactorField(mesh, np.broadcast_to(np.eye(2), (mesh.nsdof, 2, 2)).copy())
+
+
+def compatibility_residual(rhs):
+    """|(g, 1) - boundary flux of R| at a single time: the divergence-form
+    identity, with the flux through the exact normals of the outer facets."""
+    mesh = rhs.g.mesh
+    total_g = np.dot(mesh.areas / 3.0, rhs.g.values[mesh.cell_sdofs, 0].sum(axis=1))
+    r_outer = rhs.R.minus() if mesh.outer_phase < 0 else rhs.R.plus()
+    ends = mesh.outer_facets[:, :2]
+    outer = slice(mesh.n_interface_facets, None)
+    mid = 0.5 * (r_outer[ends[:, 0]] + r_outer[ends[:, 1]])
+    flux = np.dot(mesh.facet_lengths[outer],
+                  np.einsum("fk,fk->f", mid, mesh.facet_normals[outer]))
+    return abs(total_g - flux)
+
+
 def test_nonlinear_terms_vanish_for_zero_velocity(mesh):
     u = Field.zeros(mesh, 2)
     q = Field.zeros(mesh, 1)
-    rhs = compute_nonlinear_terms([u], [q], kernel.identity_cofactor(mesh), PARAMS, 0.1)
+    rhs = compute_nonlinear_terms([u], [q], identity_cofactor(mesh), PARAMS, 0.1)
     assert np.abs(rhs.stress).max() == 0.0
     assert np.abs(rhs.g.values).max() == 0.0
     assert np.abs(rhs.R.values).max() == 0.0
@@ -173,7 +191,7 @@ def test_nonlinear_terms_vanish_at_initial_geometry(mesh):
     rng = np.random.default_rng(4)
     u = Field.from_nodal(mesh, rng.standard_normal((mesh.n_nodes, 2)))
     q = Field.from_nodal(mesh, rng.standard_normal(mesh.n_nodes))
-    rhs = compute_nonlinear_terms([u], [q], kernel.identity_cofactor(mesh), PARAMS, 0.1)
+    rhs = compute_nonlinear_terms([u], [q], identity_cofactor(mesh), PARAMS, 0.1)
     assert np.abs(rhs.stress).max() <= 1e-13
     assert np.abs(rhs.g.values).max() <= 1e-13
     assert np.abs(rhs.R.values).max() <= 1e-13
@@ -222,7 +240,7 @@ def test_compatibility_identity_exact_for_linear_data(mesh):
     rhs = compute_nonlinear_terms([u], [q], A, PARAMS, 0.1)
     # (g, 1) = int div R = boundary flux of R: exact up to the polygonal
     # quadrature of the boundary integral
-    assert rhs.compatibility_residual() <= 1e-12
+    assert compatibility_residual(rhs) <= 1e-12
 
 
 # -- Picard solves ------------------------------------------------------------------
@@ -368,6 +386,26 @@ def test_picard_local_horizon_below_min_steps(mesh, ws):
     traj, rep = picard_solve_local(smooth_datum(mesh, ws, 0.02), cfg, PARAMS, workspace=ws)
     assert rep.converged and rep.n_steps == 2
     assert abs(traj.times[-1] - 0.1) < 1e-12
+
+
+def test_global_continue_factors_the_projection_once_per_workspace(mesh, monkeypatch):
+    from lagstokes import transmission
+    builds = []
+    init = transmission._ProjectionWorkspace.__init__
+
+    def counting_init(self, *args):
+        builds.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(transmission._ProjectionWorkspace, "__init__", counting_init)
+    cfg = IterationConfig(dt=0.05, horizon=1.1, smallness=10.0)
+    for n_built in (1, 2):
+        own = StokesWorkspace(mesh, PARAMS)
+        for _ in range(2):
+            _, rep = global_continue(smooth_datum(mesh, own, 0.02), cfg, PARAMS,
+                                     workspace=own)
+            assert len(rep.segments) > 1
+        assert len(builds) == n_built and builds[-1] is mesh
 
 
 def test_global_smallness_guard(mesh, ws):

@@ -6,7 +6,7 @@ from lagstokes.errors import DataError, ParameterError, ResolventError
 from lagstokes.mesh import Field, build_two_phase_disk
 from lagstokes.stepper import (StokesData, StokesState, StokesWorkspace, korn_constant,
                                run_linear, solve_resolvent, step_linear)
-from lagstokes.transmission import MaterialParams, project_out_rigid
+from lagstokes.transmission import MaterialParams, build_rigid_basis, project_out_rigid
 
 PARAMS = MaterialParams(2.0, 1.0, 3.0, 1.0)
 
@@ -247,26 +247,39 @@ def test_korn_constant_stable_and_frame_invariant(mesh):
     assert abs(k3 - k1) <= 1e-10
 
 
-def test_korn_constant_branches_agree(monkeypatch):
-    # the dense branch and the sparse shift-invert branch on the same 6x24 mesh
-    from lagstokes import stepper
-    m2 = build_two_phase_disk(6, 24, 0.5, 1.0)
-    assert 2 * m2.n_nodes <= stepper._KORN_DENSE_LIMIT
-    dense = korn_constant(m2, PARAMS)
-    monkeypatch.setattr(stepper, "_KORN_DENSE_LIMIT", 2 * m2.n_nodes - 1)
-    sparse = korn_constant(m2, PARAMS)
-    assert abs(sparse - dense) <= 1e-6 * dense
+def dense_korn_constant(mesh, params):
+    """Dense oracle: the smallest generalized eigenvalue of the deformation
+    form against the H1 form on an orthonormal basis of the nodal P1 fields
+    eta-orthogonal to the rigid motions."""
+    from scipy.linalg import eigh
+    nn = mesh.n_nodes
+    nodal = np.arange(2 * nn)
+    a = fem.deformation_stiffness(mesh, np.full(mesh.n_cells, 2.0))[np.ix_(nodal, nodal)]
+    ms, ks = fem.scalar_mass(mesh, mesh.cells, nn), fem.scalar_stiffness(mesh, mesh.cells, nn)
+    b = np.kron((ms + ks).toarray(), np.eye(2))
+    m_eta = np.kron(fem.scalar_mass(mesh, mesh.cells, nn, params.eta_cells(mesh)).toarray(),
+                    np.eye(2))
+    rigid = np.column_stack([p.plus().ravel() for p in build_rigid_basis(mesh, params).fields])
+    q, _ = np.linalg.qr(m_eta @ rigid, mode="complete")
+    z = q[:, rigid.shape[1]:]
+    return float(eigh(z.T @ (a @ z), z.T @ b @ z, eigvals_only=True,
+                      subset_by_index=[0, 0])[0])
+
+
+def test_korn_constant_matches_dense_oracle():
+    for n in (3, 6):
+        m = build_two_phase_disk(n, 4 * n, 0.5, 1.0)
+        dense = dense_korn_constant(m, PARAMS)
+        assert abs(korn_constant(m, PARAMS) - dense) <= 1e-10 * dense
 
 
 def test_korn_constant_non_convergence_raises(monkeypatch):
     import scipy.sparse.linalg as spla
-    from lagstokes import stepper
     from lagstokes.errors import NumericError
 
     def no_convergence(*args, **kwargs):
         raise spla.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
 
-    monkeypatch.setattr(stepper, "_KORN_DENSE_LIMIT", 0)
     monkeypatch.setattr(spla, "eigsh", no_convergence)
     with pytest.raises(NumericError):
         korn_constant(build_two_phase_disk(3, 12, 0.5, 1.0), PARAMS)

@@ -1,9 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from lagstokes import fem
-from lagstokes.errors import ParameterError
+from lagstokes.errors import ParameterError, ShapeError
 from lagstokes.mesh import Field, build_two_phase_disk, jump
+from lagstokes.stepper import StokesWorkspace
 from lagstokes.transmission import (MaterialParams, build_rigid_basis, helmholtz_project,
                                     pressure_reconstruct_K, project_out_rigid,
                                     rigid_momenta, solve_transmission_with_jumps,
@@ -142,8 +146,7 @@ def test_pressure_reconstruction_matches_dense_oracle(mesh):
     u = fem.interpolate(mesh, lambda x, y: np.array([y * y, x * x]), 2)
     sol = pressure_reconstruct_K(u, PARAMS)
 
-    from lagstokes.transmission import (_gradient_rhs_from_cells, _jump_lift,
-                                        _workspace)
+    from lagstokes.transmission import _TransmissionWorkspace, _jump_lift
     # rebuild the transmission data exactly as the operation defines them
     G = fem.recover_gradient(u)
     D = G + np.swapaxes(G, 1, 2)
@@ -166,11 +169,11 @@ def test_pressure_reconstruction_matches_dense_oracle(mesh):
     onrm = mesh.node_normals_outer
     gamma = np.einsum("ni,nij,nj->n", onrm, S[osd], onrm) - d[osd]
 
-    ws = _workspace(mesh, PARAMS)
-    rhs = _gradient_rhs_from_cells(mesh, w_cells)
+    ws = _TransmissionWorkspace(mesh, PARAMS)
+    rhs = fem.gradient_load(mesh, w_cells)
     lift = _jump_lift(mesh, beta)
     grad_lift = fem.cell_gradients(lift)[:, 0, :]
-    rhs = rhs - _gradient_rhs_from_cells(mesh, inv_eta[:, None] * grad_lift)
+    rhs = rhs - fem.gradient_load(mesh, inv_eta[:, None] * grad_lift)
     stiff = ws.stiffness.toarray()
     theta = np.zeros(mesh.n_nodes)
     theta[on] = gamma
@@ -222,6 +225,32 @@ def test_projection_idempotent(mesh):
     pf2, qf2 = helmholtz_project(pf, PARAMS)
     assert fem.field_l2(pf2 - pf) <= 1e-12 * fem.field_l2(f)
     assert fem.field_l2(qf2) <= 1e-12 * fem.field_l2(f)
+
+
+def test_projection_with_workspace_is_bit_identical(mesh):
+    ws = StokesWorkspace(mesh, PARAMS)
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        f = Field.from_nodal(mesh, rng.standard_normal((mesh.n_nodes, 2)))
+        pf, qf = helmholtz_project(f, PARAMS)
+        pw, qw = helmholtz_project(f, PARAMS, ws)
+        assert np.array_equal(pf.values, pw.values)
+        assert np.array_equal(qf.values, qw.values)
+    other = build_two_phase_disk(3, 12, 0.5, 1.0)
+    with pytest.raises(ShapeError):
+        helmholtz_project(Field.zeros(other, 2), PARAMS, ws)
+
+
+def test_solves_release_the_mesh():
+    m = build_two_phase_disk(3, 12, 0.5, 1.0)
+    f = Field.from_nodal(m, np.random.default_rng(7).standard_normal((m.n_nodes, 2)))
+    helmholtz_project(f, PARAMS)
+    solve_weak_transmission(f, PARAMS)
+    pressure_reconstruct_K(f, PARAMS)
+    ref = weakref.ref(m)
+    del m, f
+    gc.collect()
+    assert ref() is None
 
 
 def test_manufactured_gradient_has_vanishing_p_part():
