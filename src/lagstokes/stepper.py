@@ -24,7 +24,7 @@ refinement: the refinement solve of one step and the first solve of the
 next share one two-column triangular solve.  The stationary resolvent
 solves keep a pivoted LU of the full saddle, since their velocity block
 lam*M + A is not definite for lam <= 0.  The workspace also owns the
-factor of the eta-weighted Helmholtz projection, built on first use.  The
+solver of the eta-weighted Helmholtz projection, built on first use.  The
 Korn constant is a shift-invert Lanczos iteration on the rigid-constrained
 pencil.
 """
@@ -190,7 +190,7 @@ class StokesWorkspace:
 
     @cached_property
     def projection(self) -> _ProjectionWorkspace:
-        """Factor of the eta-weighted Helmholtz projection on the nodal block
+        """Solver of the eta-weighted Helmholtz projection on the nodal block
         of the velocity mass; see :func:`lagstokes.helmholtz_project`."""
         return _ProjectionWorkspace(self.mesh, self.mass)
 

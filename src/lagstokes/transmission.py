@@ -6,12 +6,15 @@ outer boundary; prescribed interface jumps are imposed strongly through a
 plus-side nodal lift, so the doubled representation of the solution
 reproduces the jump datum exactly.  The Helmholtz projection is realized
 as the eta-weighted L2 projection of nodal fields onto the discretely
-weighted-divergence-free subspace (a mixed solve); that algebraic form is
-what makes the projection idempotent and exactly orthogonal to rigid
-motions in floating point.
+weighted-divergence-free subspace.  Its potential solves the Schur
+complement of the mixed system by preconditioned conjugate gradients, and
+the gradient part is recovered by a direct solve with the mass; that
+algebraic form is what makes the projection idempotent and orthogonal to
+rigid motions at roundoff.
 
 Each transmission solve factors its operator for that call.  The
-projection factor is owned by a :class:`lagstokes.stepper.StokesWorkspace`
+projection solver, with its factors of the mass and of the
+preconditioner, is owned by a :class:`lagstokes.stepper.StokesWorkspace`
 when the caller passes one, and is built for the call otherwise.
 """
 
@@ -24,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem
-from .errors import GeometryError, ParameterError, ShapeError
+from .errors import GeometryError, NumericError, ParameterError, ShapeError, SolverError
 from .fem import Factorized
 from .mesh import Field, RefMesh
 
@@ -238,22 +241,82 @@ def pressure_reconstruct_K(u: Field, params: MaterialParams,
 
 # -- weighted Helmholtz projection ------------------------------------------
 
+# The projection's conjugate-gradient solve stops once its estimated error
+# in w is below _PROJECTION_TOL relative, both in the eta-weighted L2 norm,
+# and raises after _PROJECTION_MAX_ITER iterations.
+_PROJECTION_TOL = 1e-15
+_PROJECTION_MAX_ITER = 100
+
+
 class _ProjectionWorkspace:
-    """Factorized mixed system of the nodal eta-weighted projection, built
-    from the eta-weighted MINI velocity mass, whose nodal block it uses."""
+    """Schur-complement solver of the nodal eta-weighted projection, built
+    from the eta-weighted MINI velocity mass, whose nodal block it uses.
+
+    The projection w of a nodal vector f solves the mixed system
+    [[M, G], [G^T, 0]] [w, phi] = [M f, 0], with M the nodal mass and G the
+    pairing of nodal velocities with the gradients of the free potentials.
+    Eliminating w leaves the Schur complement G^T M^-1 G phi = G^T f, solved
+    by conjugate gradients preconditioned with a factor of G^T M_L^-1 G,
+    M_L the lumped mass, which is spectrally equivalent (Benzi, Golub &
+    Liesen, Acta Numer. 14, 2005); then w = f - M^-1 G phi.  In the
+    interleaved layout 2*i + comp the nodal mass is M_s (x) I_2, so only the
+    scalar mass M_s is factored, as a positive definite matrix without
+    pivoting, and applied to both components at once.
+
+    Qf = f - w = M^-1 G phi comes from the direct M solve, so
+    (eta Qf, p) = p^T G phi vanishes at roundoff for every rigid p whatever
+    the iteration's accuracy.  The iteration stops on the preconditioned
+    residual r^T P^-1 r, which estimates the squared eta-weighted L2 error
+    of w, measured against f^T M f: that scale does not vanish when f is
+    already projected, so such a call stops at once.
+    """
 
     def __init__(self, mesh: RefMesh, velocity_mass: sp.spmatrix):
-        nodal = np.arange(2 * mesh.n_nodes)
-        free = mesh.free_potential_nodes
-        self.m = velocity_mass[np.ix_(nodal, nodal)].tocsr()
-        g = fem.grad_coupling(mesh, mesh.cells, mesh.n_nodes)[np.ix_(nodal, free)]
-        self.n_free = len(free)
-        self.lu = Factorized(sp.bmat([[self.m, g], [g.T, None]], format="csc"))
+        n_nodal = 2 * mesh.n_nodes
+        self.mass = velocity_mass[:n_nodal:2, :n_nodal:2].tocsr()      # M_s
+        g = fem.grad_coupling(mesh, mesh.cells, mesh.n_nodes)[:n_nodal, mesh.free_potential_nodes]
+        self.g, self.gt = g.tocsr(), g.T.tocsr()
+        lumped = np.repeat(np.asarray(self.mass.sum(axis=1)).ravel(), 2)
+        self._mass_lu = Factorized(self.mass, quasi_definite=True)
+        self._precond_lu = Factorized(self.gt @ sp.diags(1.0 / lumped) @ self.g,
+                                      quasi_definite=True)
+        self.iterations = 0          # of the last projection
 
     def project(self, fvec: np.ndarray) -> np.ndarray:
         """Projected nodal velocity vector w of fvec."""
-        sol = self.lu.solve(np.concatenate([self.m @ fvec, np.zeros(self.n_free)]))
-        return sol[:len(fvec)]
+        # bare SuperLU solves in the loop; w is checked for finiteness once
+        mass_solve, precond_solve = self._mass_lu._lu.solve, self._precond_lu._lu.solve
+        g, gt = self.g, self.gt
+        n_nodes = self.mass.shape[0]
+
+        def schur_term(phi):                  # M^-1 G phi, as a nodal vector
+            return mass_solve((g @ phi).reshape(n_nodes, 2)).ravel()
+
+        bound = _PROJECTION_TOL ** 2 * float(fvec @ (self.mass @ fvec.reshape(n_nodes, 2)).ravel())
+        r = gt @ fvec
+        phi = np.zeros_like(r)
+        z = precond_solve(r)
+        rz = float(r @ z)
+        p = z
+        n_iter = 0
+        while rz > bound:
+            if n_iter == _PROJECTION_MAX_ITER:
+                raise NumericError(
+                    f"projection CG did not converge in {n_iter} iterations "
+                    f"(preconditioned residual {np.sqrt(rz / bound):.1e} x tolerance)")
+            n_iter += 1
+            sp_ = gt @ schur_term(p)
+            alpha = rz / float(p @ sp_)
+            phi += alpha * p
+            r -= alpha * sp_
+            z = precond_solve(r)
+            rz, rz_old = float(r @ z), rz
+            p = z + (rz / rz_old) * p
+        w = fvec - schur_term(phi)
+        self.iterations = n_iter
+        if not np.all(np.isfinite(w)):
+            raise SolverError("projection produced non-finite values")
+        return w
 
 
 def helmholtz_project(f: Field, params: MaterialParams,
@@ -267,7 +330,7 @@ def helmholtz_project(f: Field, params: MaterialParams,
     construction, and (eta Qf, p) = 0 to roundoff for every rigid p.
 
     ``workspace``, a StokesWorkspace on f's mesh and params, supplies its
-    cached projection factor; without one the factor is built for this
+    cached projection solver; without one the solver is built for this
     call only.
     """
     mesh = f.mesh
@@ -277,6 +340,8 @@ def helmholtz_project(f: Field, params: MaterialParams,
         proj = _ProjectionWorkspace(mesh, fem.velocity_mass(mesh, params.eta_cells(mesh)))
     elif workspace.mesh is not mesh:
         raise ShapeError("the workspace belongs to another mesh")
+    elif workspace.params != params:
+        raise ParameterError("the workspace was built with other material parameters")
     else:
         proj = workspace.projection
     wvec = proj.project(f.plus().ravel())

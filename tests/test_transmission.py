@@ -3,9 +3,10 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lagstokes import fem
-from lagstokes.errors import ParameterError, ShapeError
+from lagstokes import fem, transmission
+from lagstokes.errors import NumericError, ParameterError, ShapeError
 from lagstokes.mesh import Field, build_two_phase_disk, jump
 from lagstokes.stepper import StokesWorkspace
 from lagstokes.transmission import (MaterialParams, build_rigid_basis, helmholtz_project,
@@ -239,6 +240,69 @@ def test_projection_with_workspace_is_bit_identical(mesh):
     other = build_two_phase_disk(3, 12, 0.5, 1.0)
     with pytest.raises(ShapeError):
         helmholtz_project(Field.zeros(other, 2), PARAMS, ws)
+
+
+def test_projection_rejects_a_workspace_with_other_params(mesh):
+    ws = StokesWorkspace(mesh, MaterialParams(1.0, 2.0, 3.0, 1.0))
+    with pytest.raises(ParameterError):
+        helmholtz_project(Field.zeros(mesh, 2), PARAMS, ws)
+
+
+def dense_projection(mesh, params, f):
+    """Nodal w of the mixed system [[M, G], [G^T, 0]] [w, phi] = [M f, 0],
+    solved densely."""
+    nodal = np.arange(2 * mesh.n_nodes)
+    m = fem.velocity_mass(mesh, params.eta_cells(mesh))[np.ix_(nodal, nodal)].toarray()
+    g = fem.grad_coupling(mesh, mesh.cells, mesh.n_nodes)[
+        np.ix_(nodal, mesh.free_potential_nodes)].toarray()
+    n_free = g.shape[1]
+    mixed = np.block([[m, g], [g.T, np.zeros((n_free, n_free))]])
+    fvec = f.plus().ravel()
+    return np.linalg.solve(mixed, np.concatenate([m @ fvec, np.zeros(n_free)]))[:len(fvec)]
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_projection_matches_dense_mixed_solve(n):
+    m = build_two_phase_disk(n, 4 * n, 0.5, 1.0)
+    f = Field.from_nodal(m, np.random.default_rng(8).standard_normal((m.n_nodes, 2)))
+    pf, _ = helmholtz_project(f, PARAMS)
+    ref = dense_projection(m, PARAMS, f)
+    assert np.linalg.norm(pf.plus().ravel() - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_projection_cg_non_convergence_raises(mesh, monkeypatch):
+    monkeypatch.setattr(transmission, "_PROJECTION_MAX_ITER", 2)
+    f = Field.from_nodal(mesh, np.random.default_rng(9).standard_normal((mesh.n_nodes, 2)))
+    with pytest.raises(NumericError):
+        helmholtz_project(f, PARAMS)
+
+
+def test_projecting_a_projected_field_stops_at_once(mesh):
+    # the stopping scale is f's weighted norm, which does not vanish with G^T f
+    ws = StokesWorkspace(mesh, PARAMS)
+    f = Field.from_nodal(mesh, np.random.default_rng(10).standard_normal((mesh.n_nodes, 2)))
+    pf, _ = helmholtz_project(f, PARAMS, ws)
+    assert ws.projection.iterations >= 10
+    helmholtz_project(pf, PARAMS, ws)
+    assert ws.projection.iterations <= 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_radial=st.integers(2, 5), n_angular=st.integers(8, 20),
+       params=st.tuples(*[st.floats(0.05, 20.0)] * 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_projection_properties(n_radial, n_angular, params, seed):
+    mesh = build_two_phase_disk(n_radial, n_angular, 0.5, 1.0)
+    params = MaterialParams(*params)
+    f = Field.from_nodal(mesh, np.random.default_rng(seed).standard_normal((mesh.n_nodes, 2)))
+    fn = fem.field_l2(f)
+    pf, qf = helmholtz_project(f, params)
+    pf2, _ = helmholtz_project(pf, params)
+    assert fem.field_l2(pf2 - pf) <= 1e-12 * fn
+    basis = build_rigid_basis(mesh, params)
+    assert np.abs(rigid_momenta(qf, basis, params)).max() <= 1e-12 * fn
+    # (Pf, grad phi) for every continuous potential phi vanishing on Gamma_plus
+    weak_div = fem.gradient_load(mesh, fem.cell_values(pf))[mesh.free_potential_nodes]
+    assert np.abs(weak_div).max() <= 1e-11 * fn
 
 
 def test_solves_release_the_mesh():
