@@ -282,11 +282,15 @@ def cell_values(field: Field) -> np.ndarray:
     return field.values[..., field.mesh.cell_sdofs, :].mean(axis=-2)
 
 
-def recover_gradient(field: Field) -> np.ndarray:
+def recover_gradient(field: Field, cell_grads: np.ndarray | None = None) -> np.ndarray:
     """Nodal Jacobian recovery: cellwise differentiation then volume-weighted
     per-phase averaging; exact for globally linear fields.  Returns
-    (nsdof, ncomp, 2), or (n_steps, nsdof, ncomp, 2) for a field stack."""
-    return apply_sparse(field.mesh.recovery_operator, cell_gradients(field), -3)
+    (nsdof, ncomp, 2), or (n_steps, nsdof, ncomp, 2) for a field stack.
+    ``cell_grads`` passes the field's ``cell_gradients`` when the caller
+    already has them."""
+    if cell_grads is None:
+        cell_grads = cell_gradients(field)
+    return apply_sparse(field.mesh.recovery_operator, cell_grads, -3)
 
 
 # -- norms -------------------------------------------------------------------
@@ -300,20 +304,19 @@ def _sqrt_nonneg(x):
 
 
 # The norms below return a float for a field and an array with one value
-# per step for a field stack.
+# per step for a field stack.  Those built on the field's Jacobian take its
+# ``cell_gradients`` as ``cell_grads`` when the caller already has them.
 
-def field_l2(field: Field, weight_per_cell: np.ndarray | None = None):
-    mesh = field.mesh
-    w = mesh.areas if weight_per_cell is None else mesh.areas * weight_per_cell
-    vals = field.values[..., mesh.cell_sdofs, :]      # (..., nc, 3, ncomp)
-    # P1 element mass (1 + delta_ab) / 12 applied over the three vertices
-    em_vals = (vals.sum(axis=-2, keepdims=True) + vals) / 12.0
-    sq = np.sum(vals * em_vals, axis=(-2, -1))
-    return _sqrt_nonneg(sq @ w)
+def field_l2(field: Field):
+    """L2 norm as the quadratic form of the P1 mass on the scalar dofs,
+    summed over the components."""
+    vals = field.values
+    return _sqrt_nonneg(np.sum(vals * apply_sparse(field.mesh.mass_operator, vals, -2),
+                               axis=(-2, -1)))
 
 
-def field_h1_semi(field: Field):
-    g = cell_gradients(field)
+def field_h1_semi(field: Field, cell_grads: np.ndarray | None = None):
+    g = cell_gradients(field) if cell_grads is None else cell_grads
     sq = np.sum(g * g, axis=(-2, -1))
     return _sqrt_nonneg(sq @ field.mesh.areas)
 
@@ -331,11 +334,11 @@ def field_inner(fa: Field, fb: Field, weight_per_cell: np.ndarray | None = None)
     return _scalar_or_array(np.einsum("...cav,ab,...cbv->...c", va, em, vb) @ w)
 
 
-def hessian_seminorm(field: Field):
+def hessian_seminorm(field: Field, cell_grads: np.ndarray | None = None):
     """L2 norm of the cellwise gradient of the recovered Jacobian; the
     second-difference surrogate used in trajectory norms."""
     mesh = field.mesh
-    g = recover_gradient(field)                       # (..., nsdof, ncomp, 2)
+    g = recover_gradient(field, cell_grads)           # (..., nsdof, ncomp, 2)
     flat = Field(mesh, field.ncomp * 2, g.reshape(g.shape[:-2] + (-1,)))
     return field_h1_semi(flat)
 
@@ -356,6 +359,12 @@ def interpolate_two_phase(mesh: RefMesh, fn_plus, fn_minus, ncomp: int = 1) -> F
 
 
 # -- linear solver wrapper -----------------------------------------------------
+
+# Largest componentwise backward error max |S x - b| / (|S| |x| + |b|) that
+# CondensedSaddle accepts from its set-up probe solve.  A sound factor gives
+# a few units of roundoff (about 4e-16); a near-zero pivot gives O(1).
+_PROBE_BACKWARD_ERROR_TOL = 1e-10
+
 
 class Factorized:
     """Deterministic sparse LU with residual reporting.
@@ -410,6 +419,15 @@ class CondensedSaddle(Factorized):
     (Skeel, Math. Comp. 35, 1980); ``solve_unrefined`` is the bare
     condensed solve, for callers that schedule the refinement themselves.
     Both take a right-hand side or a block of them, one per column.
+
+    D is only positive semidefinite, so the no-pivoting guarantee for
+    quasi-definite matrices does not cover it: an elimination order can
+    meet a pivot that vanishes in exact arithmetic, and roundoff then
+    leaves one of size 1e-18 and a solve that is wrong by orders of
+    magnitude.  That happens on meshes with two radial layers per phase.
+    The set-up therefore makes one refined solve of a fixed random right-hand
+    side and raises ``SolverError`` when its componentwise backward error
+    exceeds ``_PROBE_BACKWARD_ERROR_TOL``.
     """
 
     def __init__(self, saddle: sp.spmatrix, n_nodal: int, n_velocity: int):
@@ -439,6 +457,12 @@ class CondensedSaddle(Factorized):
                                   pick_b.T @ kbb_inv]).tocsr()
         super().__init__(reduced, quasi_definite=True)
         self.matrix = a
+        probe = np.random.default_rng(0).standard_normal(n)
+        x = self.solve(probe)
+        omega = np.max(np.abs(a @ x - probe) / (abs(a) @ np.abs(x) + np.abs(probe)))
+        if not omega <= _PROBE_BACKWARD_ERROR_TOL:
+            raise SolverError(f"unpivoted condensed factor is unstable: a probe solve has "
+                              f"componentwise backward error {omega:.3g}")
 
     def solve_unrefined(self, rhs: np.ndarray) -> np.ndarray:
         y = super().solve(self._condense @ rhs)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
+from functools import cache
 
 import numpy as np
 
@@ -228,7 +229,8 @@ def compute_nonlinear_terms(u_hist, q_hist, A: kernel.CofactorField,
                             rho0: Field | None = None, f_ext=None,
                             X: np.ndarray | None = None,
                             eval_time=0.0,
-                            mu_nodal: Field | None = None) -> NonlinearRHS:
+                            mu_nodal: Field | None = None,
+                            grads: tuple | None = None) -> NonlinearRHS:
     """Assemble the nonlinear data at the last times of a history.
 
     ``u_hist`` and ``q_hist`` are the velocity/pressure fields up to the
@@ -243,7 +245,9 @@ def compute_nonlinear_terms(u_hist, q_hist, A: kernel.CofactorField,
     never by second differentiation.  ``f_ext`` is called as f(x, y, t) at
     the mapped positions ``X``; ``mu_nodal`` tabulates a smooth viscosity
     mu(rho0) nodewise, replacing the piecewise-constant coefficients of
-    ``params``.
+    ``params``.  ``grads`` passes the evaluated velocities' cell gradients
+    and recovered nodal Jacobians, ``(fem.cell_gradients(u),
+    fem.recover_gradient(u))``, when the caller already has them.
     """
     single = A.mats.ndim == 3
     A_n = A.mats[None] if single else A.mats            # (k, nsdof, 2, 2)
@@ -259,9 +263,12 @@ def compute_nonlinear_terms(u_hist, q_hist, A: kernel.CofactorField,
     q = Field(mesh, 1, q_vals)
     mu_c = params.mu_cells(mesh) if mu_nodal is None \
         else fem.cell_values(mu_nodal)[:, 0]
+    if grads is None:
+        G_c = fem.cell_gradients(u)
+        grads = G_c, fem.recover_gradient(u, G_c)
+    G_c, G_n = grads                                   # (k, nc, 2, 2), (k, nsdof, 2, 2)
 
     # cellwise exact quantities for the weak momentum source
-    G_c = fem.cell_gradients(u)                        # (k, nc, 2, 2)
     q_c = fem.cell_values(q)[..., 0]
     A_c = A_n[:, mesh.cell_sdofs].mean(axis=2)
     Gt_c = np.swapaxes(G_c, -1, -2)
@@ -274,7 +281,6 @@ def compute_nonlinear_terms(u_hist, q_hist, A: kernel.CofactorField,
     stress = T_c - kernel.mul2x2(Tu_c, A_c)
 
     # nodal recovered quantities for the divergence data
-    G_n = fem.recover_gradient(u)                      # (k, nsdof, 2, 2)
     ImAt = np.swapaxes(_eye_minus(A_n), -1, -2)
     GI = kernel.mul2x2(G_n, ImAt)
     g_vals = GI[..., 0, 0] + GI[..., 1, 1]                # tr(G (I - A^T))
@@ -394,8 +400,10 @@ def trajectory_norm(u: Field, q: Field, dt: float, p: float) -> float:
     L_p-in-time of the step increments / dt, the recovered second
     differences, and the pressure gradient."""
     inc = fem.field_l2(u[1:] - u[:-1]) / dt
-    return (float(np.max(fem.field_h1(u))) + _lp(inc, dt, p)
-            + _lp(fem.hessian_seminorm(u), dt, p) + _lp(fem.field_h1_semi(q), dt, p))
+    g = fem.cell_gradients(u)
+    h1 = np.hypot(fem.field_l2(u), fem.field_h1_semi(u, g))
+    return (float(np.max(h1)) + _lp(inc, dt, p)
+            + _lp(fem.hessian_seminorm(u, g), dt, p) + _lp(fem.field_h1_semi(q), dt, p))
 
 
 def _xi_norms(mesh, u: Field, rhs: NonlinearRHS | None, params, dt, p) -> tuple[float, float]:
@@ -452,15 +460,15 @@ class IterationReport:
         return rows
 
 
-def _build_geometry(mesh, u: Field, dt, cfg, C0=None):
-    """Accumulated displacement gradients and cofactors along the field
-    stack u (steps 0..n), in one pass over the stack.
+def _build_geometry(mesh, grads: np.ndarray, dt, cfg, C0=None):
+    """Accumulated displacement gradients and cofactors along a velocity
+    stack (steps 0..n) from its recovered nodal Jacobians ``grads``, in one
+    pass over the stack.
 
     Returns (C at step n, cofactor stack for steps 0..n, kappa_max); C0
     carries prior accumulation for continued runs, and otherwise the
     gradient at step 0 seeds the trapezoid left endpoint.
     """
-    grads = fem.recover_gradient(u)
     C = C0 if C0 is not None else kernel.DisplacementGradient(mesh)
     if C._last_grad is None:
         C = C.copy()
@@ -514,9 +522,15 @@ def picard_solve_local(v0: Field, cfg: IterationConfig, params: MaterialParams,
     lin_u = Field.stack([s.u for s in lin.states])
     lin_q = Field.stack([s.q for s in lin.states])
     lin_vecs = lin.uvecs
+
+    @cache
+    def lin_norm(n: int) -> float:
+        """Trajectory norm of the linear stacks' steps 0..n, computed once."""
+        return max(trajectory_norm(lin_u[:n + 1], lin_q[:n + 1], cfg.dt, cfg.p), 1e-12)
+
     L = cfg.L_bound
     if L <= 0:
-        L = max(trajectory_norm(lin_u, lin_q, cfg.dt, cfg.p), 1e-12)
+        L = lin_norm(n_cap)
     T = min(select_local_T(L, cfg.exponents, cfg.p, cfg.C_cal), cfg.horizon)
     n_steps = min(max(int(math.ceil(T / cfg.dt - 1e-12)), cfg.min_steps), n_cap, n_hor)
     halvings = 0
@@ -524,8 +538,9 @@ def picard_solve_local(v0: Field, cfg: IterationConfig, params: MaterialParams,
     while True:
         head = slice(0, n_steps + 1)
         try:
-            result = _picard_attempt(lin_u[head], lin_q[head], lin_vecs[head], cfg, params,
-                                     ws, C0, X0, t0, rho0, f_ext, mu_nodal)
+            result = _picard_attempt(lin_u[head], lin_q[head], lin_vecs[head],
+                                     lin_norm(n_steps), cfg, params, ws, C0, X0, t0, rho0,
+                                     f_ext, mu_nodal)
         except (GeometryError, NonContractionError):
             if n_steps // 2 < cfg.min_steps:
                 raise
@@ -554,39 +569,47 @@ def _lagrangian_maps(mesh, u: Field, dt, X0) -> np.ndarray:
     return np.cumsum(np.concatenate([X[None], 0.5 * dt * (up[:-1] + up[1:])]), axis=0)
 
 
-def _trajectory_terms(u: Field, q: Field, A: kernel.CofactorField, maps, params, dt,
-                      t0, rho0, f_ext, mu_nodal) -> NonlinearRHS:
-    """Nonlinear data at steps 1..n of the stacks u, q and A (steps 0..n),
-    in one evaluation."""
+def _iterate_data(mesh, u: Field, q: Field, maps, cfg, C0, params, dt, t0, rho0, f_ext,
+                  mu_nodal):
+    """Geometry along the stacks u, q (steps 0..n) and their nonlinear data
+    at steps 1..n, in one evaluation; u's cell gradients and recovered
+    Jacobians are computed once and serve both.  Returns (C at step n,
+    cofactor stack, kappa_max, nonlinear data)."""
+    G_c = fem.cell_gradients(u)
+    G_n = fem.recover_gradient(u, G_c)
+    C_end, A, kappa_max = _build_geometry(mesh, G_n, dt, cfg, C0)
     n = len(A.mats) - 1
-    return compute_nonlinear_terms(u, q, A[1:], params, dt, rho0=rho0, f_ext=f_ext,
-                                   X=None if maps is None else maps[1:],
-                                   eval_time=t0 + dt * np.arange(1, n + 1),
-                                   mu_nodal=mu_nodal)
+    rhs = compute_nonlinear_terms(u, q, A[1:], params, dt, rho0=rho0, f_ext=f_ext,
+                                  X=None if maps is None else maps[1:],
+                                  eval_time=t0 + dt * np.arange(1, n + 1),
+                                  mu_nodal=mu_nodal, grads=(G_c[1:], G_n[1:]))
+    return C_end, A, kappa_max, rhs
 
 
-def _picard_attempt(lin_u, lin_q, lin_vecs, cfg, params, ws, C0, X0, t0, rho0, f_ext,
-                    mu_nodal):
+def _picard_attempt(lin_u, lin_q, lin_vecs, scale, cfg, params, ws, C0, X0, t0, rho0,
+                    f_ext, mu_nodal):
     """Picard iteration on the horizon of the linear stacks (steps 0..n);
     each iterate evaluates its geometry and nonlinear data over the whole
-    stack at once, and only the backward-Euler solves run step by step."""
+    stack at once, and only the backward-Euler solves run step by step.
+    The iteration stops when the iterates' distance falls below
+    ``cfg.fp_tol * scale``, with ``scale`` the linear stacks' trajectory
+    norm."""
     mesh = ws.mesh
     dt, p = cfg.dt, cfg.p
     n_steps = len(lin_vecs) - 1
-    terms = dict(params=params, dt=dt, t0=t0, rho0=rho0, f_ext=f_ext, mu_nodal=mu_nodal)
+    terms = dict(cfg=cfg, C0=C0, params=params, dt=dt, t0=t0, rho0=rho0, f_ext=f_ext,
+                 mu_nodal=mu_nodal)
 
     U = Field(mesh, 2, np.zeros_like(lin_u.values))
     Q = Field(mesh, 1, np.zeros_like(lin_q.values))
     U_vecs = np.zeros_like(lin_vecs)
     distances, factors = [], []
-    scale = max(trajectory_norm(lin_u, lin_q, dt, p), 1e-12)
     converged = False
 
     for it in range(cfg.max_iters):
         W, Th = lin_u + U, lin_q + Q
-        _, A, _ = _build_geometry(mesh, W, dt, cfg, C0)
         maps = _lagrangian_maps(mesh, W, dt, X0) if f_ext is not None else None
-        rhs = _trajectory_terms(W, Th, A, maps, **terms)
+        *_, rhs = _iterate_data(mesh, W, Th, maps, **terms)
         U_new_vecs, U_new, Q_new = _solve_correction(ws, dt, rhs)
         dist = trajectory_norm(U_new - U, Q_new - Q, dt, p)
         distances.append(dist)
@@ -606,9 +629,9 @@ def _picard_attempt(lin_u, lin_q, lin_vecs, cfg, params, ws, C0, X0, t0, rho0, f
     # and shared by the trajectory companions and the substituted residual
     u, q = lin_u + U, lin_q + Q
     u_vecs = lin_vecs + U_vecs
-    C_end, A_u, kappa_max = _build_geometry(mesh, u, dt, cfg, C0)
     maps = _lagrangian_maps(mesh, u, dt, X0)
-    rhs_u = _trajectory_terms(u, q, A_u, maps if f_ext is not None else None, **terms)
+    C_end, A_u, kappa_max, rhs_u = _iterate_data(mesh, u, q, maps if f_ext is not None
+                                                 else None, **terms)
     states = [StokesState.from_uvec(mesh, u_vecs[m], q[m], t0 + m * dt)
               for m in range(n_steps + 1)]
     traj = Trajectory(times=t0 + dt * np.arange(n_steps + 1), states=states,
@@ -852,8 +875,9 @@ class _XFunctional:
             w = Field.stack([s.u for s in states[m0 - 1:n]]) - self.lin_u[m0 - 1:n]
             P = Field.stack([s.q for s in states[m0:n]]) - self.lin_q[m0:n]
             wn = w[1:]
+            g = fem.cell_gradients(wn)
             s = (fem.field_l2(wn - w[:-1]) / dt + fem.field_l2(wn)
-                 + fem.field_h1_semi(wn) + fem.hessian_seminorm(wn))
+                 + fem.field_h1_semi(wn, g) + fem.hessian_seminorm(wn, g))
             weight = np.exp(self.eps0 * np.arange(m0, n) * dt)
             self.terms.extend(weight * s)
             self.pterms.extend(weight * fem.field_h1(P))

@@ -28,24 +28,29 @@ DEFAULT_SERIES_TOL = 1e-13
 DEFAULT_MAX_ORDER = 64
 
 
-# Stacked 2x2 algebra written out by component: on (..., 2, 2) stacks this
-# is several times faster than a broadcasting einsum and gives the same
-# floating-point sums.
+# Stacked 2x2 algebra written out by component into one output array: on
+# (..., 2, 2) stacks this is several times faster than a broadcasting
+# einsum and gives the same floating-point sums.
 
 def mul2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Products a @ b of broadcastable (..., 2, 2) matrix stacks."""
     a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
     b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
-    return np.stack([np.stack([a00 * b00 + a01 * b10, a00 * b01 + a01 * b11], axis=-1),
-                     np.stack([a10 * b00 + a11 * b10, a10 * b01 + a11 * b11], axis=-1)],
-                    axis=-2)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    out[..., 0, 0] = a00 * b00 + a01 * b10
+    out[..., 0, 1] = a00 * b01 + a01 * b11
+    out[..., 1, 0] = a10 * b00 + a11 * b10
+    out[..., 1, 1] = a10 * b01 + a11 * b11
+    return out
 
 
 def apply2x2(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Matrix-vector products m @ v of broadcastable (..., 2, 2) and
     (..., 2) stacks."""
-    return np.stack([m[..., 0, 0] * v[..., 0] + m[..., 0, 1] * v[..., 1],
-                     m[..., 1, 0] * v[..., 0] + m[..., 1, 1] * v[..., 1]], axis=-1)
+    out = np.empty(np.broadcast_shapes(m.shape[:-1], v.shape), dtype=np.result_type(m, v))
+    out[..., 0] = m[..., 0, 0] * v[..., 0] + m[..., 0, 1] * v[..., 1]
+    out[..., 1] = m[..., 1, 0] * v[..., 0] + m[..., 1, 1] * v[..., 1]
+    return out
 
 
 def _spectral_norms(mats: np.ndarray) -> np.ndarray:
@@ -213,8 +218,9 @@ def neumann_cofactor(C: DisplacementGradient, tol: float = DEFAULT_SERIES_TOL,
         active &= ~(_spectral_norms(term).max(axis=-1) < tol)
         if not active.any():
             break
-        acc[active] += term[active]
-        order[active] = k
+        # a stopped time adds an exact zero, which leaves its sum unchanged
+        acc += term * active[..., None, None, None]
+        order += active
     else:
         raise ConvergenceError(
             f"cofactor series did not reach tol={tol} within {max_order} terms")

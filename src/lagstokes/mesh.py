@@ -198,6 +198,18 @@ class RefMesh:
         return sp.csr_matrix((weights / total[rows], (rows, cols)),
                              shape=(self.nsdof, nc))
 
+    @cached_property
+    def mass_operator(self) -> sp.csr_matrix:
+        """(nsdof, nsdof) P1 mass on the scalar dofs: the element mass
+        area * (1 + delta_ab) / 12 over each cell's own-phase dofs, whose
+        eigenvalues lie in [1/12, 1/3] * area."""
+        em = (np.ones((3, 3)) + np.eye(3)) / 12.0
+        vals = self.areas[:, None, None] * em
+        rows = np.broadcast_to(self.cell_sdofs[:, :, None], vals.shape)
+        cols = np.broadcast_to(self.cell_sdofs[:, None, :], vals.shape)
+        return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                             shape=(self.nsdof, self.nsdof))
+
     def is_interface_facet(self, facet: int) -> bool:
         self._check_facet(facet)
         return facet < len(self.interface_facets)

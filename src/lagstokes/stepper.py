@@ -122,7 +122,7 @@ class StokesWorkspace:
         self.mass = fem.velocity_mass(mesh, eta_c)
         self.stiffness = fem.deformation_stiffness(mesh, mu_c)
         self.div = fem.div_coupling(mesh, mesh.cell_sdofs, mesh.nsdof)
-        self.pressure_mass = fem.scalar_mass(mesh, mesh.cell_sdofs, mesh.nsdof)
+        self.pressure_mass = mesh.mass_operator
         self.nu = fem.n_udofs(mesh)
         self.np_ = mesh.nsdof
         self._step_lu: dict[float, Factorized] = {}

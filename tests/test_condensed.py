@@ -90,3 +90,19 @@ def test_zero_pivot_raises_solver_error():
     singular = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SolverError):
         fem.Factorized(singular, quasi_definite=True)
+
+
+@pytest.mark.parametrize("shape, unstable", [((2, 8), True), ((2, 12), True), ((3, 12), False)],
+                         ids=["2x8", "2x12", "3x12"])
+def test_near_zero_pivot_raises_solver_error(shape, unstable):
+    # with two radial layers per phase the unpivoted elimination meets a pivot
+    # of about 1e-18 and its solves are wrong by orders of magnitude
+    ws = StokesWorkspace(build_two_phase_disk(*shape, 0.5, 1.0), MaterialParams(1, 1, 1, 1))
+    if unstable:
+        with pytest.raises(SolverError, match="backward error"):
+            ws.step_factorization(0.05)
+    else:
+        lu = ws.step_factorization(0.05)
+        rhs = np.random.default_rng(5).standard_normal(ws.nu + ws.np_)
+        ref = np.linalg.solve(lu.matrix.toarray(), rhs)
+        assert np.linalg.norm(lu.solve(rhs) - ref) <= 1e-12 * np.linalg.norm(ref)

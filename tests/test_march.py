@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lagstokes import fem
 from lagstokes.fixedpoint import NonlinearRHS, _momentum_rhs, _solve_correction
@@ -91,6 +92,25 @@ def test_rigid_motion_stays_rigid(ws, dt):
         drift = np.linalg.norm(xs[:, :ws.nu] - pvec, axis=1).max()
         assert drift <= 1e-13 * np.linalg.norm(pvec)
         assert np.abs(xs[:, ws.nu:]).max() <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_radial=st.integers(3, 5), n_angular=st.integers(8, 20),
+       params=st.tuples(*[st.floats(0.05, 20.0)] * 4), dt=st.floats(1e-3, 1.0))
+def test_rigid_equilibria_property(n_radial, n_angular, params, dt):
+    mesh = build_two_phase_disk(n_radial, n_angular, 0.5, 1.0)
+    ws = StokesWorkspace(mesh, MaterialParams(*params))
+    # Rigid motions solve every step exactly, so the computed ones drift only
+    # by roundoff, amplified in the rigid directions by the ratio of the
+    # stiffness (mu / h^2) to the step's mass term (eta / dt).  A dense
+    # solve of the same saddle drifts as much.
+    amplification = 1.0 + dt * max(params[2:]) / (min(params[:2]) * mesh.areas.min())
+    n_steps = 5
+    for p in ws.rigid_basis().fields:
+        pvec = fem.field_to_uvec(p)
+        xs = ws.march(dt, np.concatenate([pvec, np.zeros(ws.np_)]), n_steps)
+        drift = np.linalg.norm(xs[:, :ws.nu] - pvec, axis=1).max()
+        assert drift <= 1e-14 * n_steps * amplification * np.linalg.norm(pvec)
 
 
 def test_correction_matches_per_step_loop(ws):
