@@ -116,6 +116,8 @@ def momentum_and_barycenter(traj: Trajectory, params: MaterialParams,
     Linear trajectories use the fixed-domain momenta (eta u, p_alpha); a
     Lagrangian trajectory evaluates the pulled-back momenta
     int eta u . p_alpha(X(xi,t)) dxi and the barycenter int eta X dxi.
+    Momenta the solver stored with the same workspace (``momenta`` or
+    ``lagrangian_momenta``) are reused.
     """
     mesh = traj.states[0].u.mesh
     ws = workspace or StokesWorkspace(mesh, params)
@@ -132,9 +134,9 @@ def momentum_and_barycenter(traj: Trajectory, params: MaterialParams,
             0.5 * dt * (vol_flux[:-1] + vol_flux[1:])]), axis=0)
     else:
         X = Field.from_nodal(mesh, np.stack(traj.lagrangian_maps))
-        momenta = fem.blockwise(
+        momenta = traj.series("lagrangian_momenta", ws, lambda _vecs: fem.blockwise(
             lambda steps: _lagrangian_momenta(u[steps], X[steps], basis, eta_c),
-            len(traj.states))
+            len(traj.states)))
         bary = _eta_nodal_integral(mesh, eta_c, X.values)
 
     mom_res = momenta - momenta[0]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec     # kernel of csr @ vector
 
 from .errors import ShapeError, SolverError
 from .mesh import Field, RefMesh
@@ -249,6 +250,19 @@ def apply_sparse(op: sp.spmatrix, arr: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out.reshape((op.shape[0],) + moved.shape[1:]), 0, axis)
 
 
+def csr_matvec(op: sp.csr_matrix, vec: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """op @ vec for a CSR matrix and a vector, written into the contiguous
+    float ``out``.  It runs scipy's kernel of ``op @ vec`` on a zeroed
+    output, so the sums are the same bits, without the operator's dispatch
+    and allocation; the step loop of a march makes thousands of these small
+    products."""
+    if op.format != "csr":
+        raise ShapeError(f"csr_matvec needs a CSR matrix, got {op.format}")
+    out.fill(0.0)
+    _csr_matvec(op.shape[0], op.shape[1], op.indptr, op.indices, op.data, vec, out)
+    return out
+
+
 # Batched evaluations over the time axis of a stack run in blocks of this
 # many steps, which bounds their temporaries.
 STACK_BLOCK = 25
@@ -387,7 +401,7 @@ class Factorized:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         x = self._lu.solve(rhs)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise SolverError("linear solve produced non-finite values")
         return x
 
@@ -471,3 +485,26 @@ class CondensedSaddle(Factorized):
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         x = self.solve_unrefined(rhs)
         return x + self.solve_unrefined(rhs - self.matrix @ x)
+
+    def pair_solver(self):
+        """``solve_unrefined`` of two right-hand sides at a time, for a
+        caller that solves many pairs: solve(rhs0, rhs1, out0, out1) writes
+        the two solutions into ``out0`` and ``out1`` with one two-column
+        triangular solve, and its buffers are allocated once.  Each column
+        is condensed and expanded on its own: a one-column product is
+        bit-equal to its column of the two-column product, and cheaper."""
+        condense, expand, bubbles = self._condense, self._expand, self._bubbles
+        nc = condense.shape[0]
+        pair = np.empty((nc, 2), order="F")
+        expand_in = np.empty((2, expand.shape[1]))
+
+        def solve(rhs0, rhs1, out0, out1):
+            csr_matvec(condense, rhs0, pair[:, 0])
+            csr_matvec(condense, rhs1, pair[:, 1])
+            y = Factorized.solve(self, pair)
+            for j, rhs, out in ((0, rhs0, out0), (1, rhs1, out1)):
+                expand_in[j, :nc] = y[:, j]
+                expand_in[j, nc:] = rhs[bubbles]
+                csr_matvec(expand, expand_in[j], out)
+
+        return solve

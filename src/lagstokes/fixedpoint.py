@@ -268,31 +268,36 @@ def compute_nonlinear_terms(u_hist, q_hist, A: kernel.CofactorField,
         grads = G_c, fem.recover_gradient(u, G_c)
     G_c, G_n = grads                                   # (k, nc, 2, 2), (k, nsdof, 2, 2)
 
+    # the 2x2 algebra runs on component planes (kernel.to_planes): entry
+    # (i, j) of a stack is one contiguous plane and a transpose is a swap of
+    # the two leading axes
+    mul, apply = kernel.mul_planes, kernel.apply_planes
+    a_n, g_n = kernel.to_planes(A_n), kernel.to_planes(G_n)      # (2, 2, k, nsdof)
+
     # cellwise exact quantities for the weak momentum source
     q_c = fem.cell_values(q)[..., 0]
-    A_c = A_n[:, mesh.cell_sdofs].mean(axis=2)
-    Gt_c = np.swapaxes(G_c, -1, -2)
-    At_c = np.swapaxes(A_c, -1, -2)
-    D_c = G_c + Gt_c
-    Du_c = kernel.mul2x2(G_c, At_c) + kernel.mul2x2(A_c, Gt_c)
-    eye = np.eye(2)
-    T_c = mu_c[:, None, None] * D_c - q_c[..., None, None] * eye
-    Tu_c = mu_c[:, None, None] * Du_c - q_c[..., None, None] * eye
-    stress = T_c - kernel.mul2x2(Tu_c, A_c)
+    g_c = kernel.to_planes(G_c)
+    a_c = a_n[..., mesh.cell_sdofs].mean(axis=-1)                 # (2, 2, k, nc)
+    gt_c, at_c = g_c.swapaxes(0, 1), a_c.swapaxes(0, 1)
+    d_c = g_c + gt_c
+    du_c = mul(g_c, at_c) + mul(a_c, gt_c)
+    eye = np.eye(2)[:, :, None, None]
+    t_c = mu_c * d_c - q_c * eye
+    tu_c = mu_c * du_c - q_c * eye
+    stress = t_c - mul(tu_c, a_c)
 
     # nodal recovered quantities for the divergence data
-    ImAt = np.swapaxes(_eye_minus(A_n), -1, -2)
-    GI = kernel.mul2x2(G_n, ImAt)
-    g_vals = GI[..., 0, 0] + GI[..., 1, 1]                # tr(G (I - A^T))
-    R_vals = kernel.apply2x2(ImAt, u_vals)
+    ima_t = _eye_minus(a_n).swapaxes(0, 1)
+    gi = mul(g_n, ima_t)
+    g_vals = gi[0, 0] + gi[1, 1]                          # tr(G (I - A^T))
+    R_vals = kernel.from_vector_planes(apply(ima_t, kernel.vector_planes(u_vals)))
 
     # interface and outer traction defects from nodal traces
     nbar = kernel.pushforward_normal(kernel.CofactorField(mesh, A_n), mesh)
     mu_s = params.mu_sdofs(mesh) if mu_nodal is None else mu_nodal.values[:, 0]
     q_dof = q_vals[..., 0]
-    h_jump = _traction_defect_jump(mesh, G_n, A_n, q_dof, mu_s, nbar)
-    k = _outer_traction_defect(mesh, G_n, A_n, q_dof, mu_s, nbar)
-    j_gamma, j_outer = _facet_corrections(mesh, Tu_c, A_c)
+    h_jump, k = _traction_defects(mesh, g_n, a_n, q_dof, mu_s, nbar)
+    j_gamma, j_outer = _facet_corrections(mesh, tu_c, a_c)
 
     f_vals = None
     if rho0 is not None or f_ext is not None:
@@ -313,7 +318,7 @@ def compute_nonlinear_terms(u_hist, q_hist, A: kernel.CofactorField,
         f_vals = acc / eta_s[:, None]
 
     pick = (lambda a: a[0]) if single else (lambda a: a)
-    return NonlinearRHS(t=eval_time, stress=pick(stress),
+    return NonlinearRHS(t=eval_time, stress=pick(kernel.from_planes(stress)),
                         g=Field(mesh, 1, pick(g_vals[..., None])),
                         R=Field(mesh, 2, pick(R_vals)),
                         h_jump=pick(h_jump), k=pick(k),
@@ -322,26 +327,27 @@ def compute_nonlinear_terms(u_hist, q_hist, A: kernel.CofactorField,
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
-    return vec / np.linalg.norm(vec, axis=-1, keepdims=True)
+    """Unit vectors of a (2, ...) component-plane stack."""
+    return vec / np.sqrt(vec[0] * vec[0] + vec[1] * vec[1])
 
 
-def _facet_corrections(mesh, Tu_c: np.ndarray, A_c: np.ndarray):
+def _facet_corrections(mesh, tu_c: np.ndarray, a_c: np.ndarray):
     """Per-facet values of [[T_A (A n - nbar)]] on Gamma and of
-    T_A (A n+ - nbar+) on Gamma_plus, from the adjacent-cell traces; the
-    pushforward normal uses the facet-averaged cofactor so it stays
-    single-valued on the interface."""
+    T_A (A n+ - nbar+) on Gamma_plus, from the adjacent-cell traces of the
+    component planes ``tu_c`` and ``a_c``; the pushforward normal uses the
+    facet-averaged cofactor so it stays single-valued on the interface.
+    The plus, minus and outer traces go through each product together."""
     ni = mesh.n_interface_facets
-    cp, cm = mesh.interface_facets[:, 2], mesh.interface_facets[:, 3]
-    apply = kernel.apply2x2
-    n = mesh.facet_normals[:ni]
-    an_p = apply(A_c[..., cp, :, :], n)
-    an_m = apply(A_c[..., cm, :, :], n)
+    cells = np.concatenate([mesh.interface_facets[:, 2], mesh.interface_facets[:, 3],
+                            mesh.outer_facets[:, 2]])
+    normals = np.concatenate([mesh.facet_normals[:ni], mesh.facet_normals])
+    an = kernel.apply_planes(a_c[..., cells], kernel.vector_planes(normals))
+    an_p, an_m, an_o = an[..., :ni], an[..., ni:2 * ni], an[..., 2 * ni:]
     nbar = _unit(0.5 * (an_p + an_m))
-    j_gamma = apply(Tu_c[..., cp, :, :], an_p - nbar) - apply(Tu_c[..., cm, :, :], an_m - nbar)
-    co = mesh.outer_facets[:, 2]
-    an = apply(A_c[..., co, :, :], mesh.facet_normals[ni:])
-    j_outer = apply(Tu_c[..., co, :, :], an - _unit(an))
-    return j_gamma, j_outer
+    j = kernel.apply_planes(tu_c[..., cells], np.concatenate(
+        [an_p - nbar, an_m - nbar, an_o - _unit(an_o)], axis=-1))
+    return (kernel.from_vector_planes(j[..., :ni] - j[..., ni:2 * ni]),
+            kernel.from_vector_planes(j[..., 2 * ni:]))
 
 
 def _raise_shape(msg: str = "cofactor field and velocity live on different meshes"):
@@ -349,41 +355,39 @@ def _raise_shape(msg: str = "cofactor field and velocity live on different meshe
     raise ShapeError(msg)
 
 
-def _eye_minus(mats: np.ndarray) -> np.ndarray:
-    out = -mats.copy()
-    out[..., 0, 0] += 1.0
-    out[..., 1, 1] += 1.0
+def _eye_minus(planes: np.ndarray) -> np.ndarray:
+    """I - A of a component-plane stack."""
+    out = -planes
+    out[0, 0] += 1.0
+    out[1, 1] += 1.0
     return out
 
 
-def _nodal_traction(G_n, A, q_dof, mu_s, sdofs, n_fixed, n_bar):
-    """T(u,q) n - T_A(u,q) nbar at the given scalar dofs, per time of the
-    stacks G_n, A, q_dof, n_bar."""
-    G = G_n[:, sdofs]
-    Amat = A[:, sdofs]
-    Gt = np.swapaxes(G, -1, -2)
-    At = np.swapaxes(Amat, -1, -2)
-    D = G + Gt
-    Du = kernel.mul2x2(G, At) + kernel.mul2x2(Amat, Gt)
-    mu = mu_s[sdofs][:, None]
-    q = q_dof[:, sdofs][..., None]
-    t_n = mu * kernel.apply2x2(D, n_fixed) - q * n_fixed
-    tu_nb = mu * kernel.apply2x2(Du, n_bar) - q * n_bar
-    return t_n - tu_nb
-
-
-def _traction_defect_jump(mesh, G_n, A, q_dof, mu_s, nbar) -> np.ndarray:
-    gn = mesh.gamma_nodes
-    n_fixed = mesh.node_normals_gamma
-    hp = _nodal_traction(G_n, A, q_dof, mu_s, mesh.sdof_plus[gn], n_fixed, nbar.gamma)
-    hm = _nodal_traction(G_n, A, q_dof, mu_s, mesh.sdof_minus[gn], n_fixed, nbar.gamma)
-    return hp - hm
-
-
-def _outer_traction_defect(mesh, G_n, A, q_dof, mu_s, nbar) -> np.ndarray:
-    on = mesh.gamma_plus_nodes
-    sd = mesh.sdof_minus[on] if mesh.outer_phase < 0 else mesh.sdof_plus[on]
-    return _nodal_traction(G_n, A, q_dof, mu_s, sd, mesh.node_normals_outer, nbar.outer)
+def _traction_defects(mesh, g_n, a_n, q_dof, mu_s, nbar):
+    """The interface jump on Gamma and the outer value on Gamma_plus of
+    T(u,q) n - T_A(u,q) nbar from nodal traces, per time of the stacks
+    q_dof and of the component planes g_n and a_n.  The plus, minus and
+    outer traces go through each product together."""
+    gn, on = mesh.gamma_nodes, mesh.gamma_plus_nodes
+    ng = len(gn)
+    outer = mesh.sdof_minus[on] if mesh.outer_phase < 0 else mesh.sdof_plus[on]
+    sdofs = np.concatenate([mesh.sdof_plus[gn], mesh.sdof_minus[gn], outer])
+    n_fixed = kernel.vector_planes(np.concatenate(
+        [mesh.node_normals_gamma, mesh.node_normals_gamma, mesh.node_normals_outer]))[:, None]
+    n_bar = kernel.vector_planes(np.concatenate([nbar.gamma, nbar.gamma, nbar.outer], axis=-2))
+    mul, apply = kernel.mul_planes, kernel.apply_planes
+    g = g_n[..., sdofs]
+    a = a_n[..., sdofs]
+    gt, at = g.swapaxes(0, 1), a.swapaxes(0, 1)
+    d = g + gt
+    du = mul(g, at) + mul(a, gt)
+    mu = mu_s[sdofs]
+    q = q_dof[:, sdofs]
+    t_n = mu * apply(d, n_fixed) - q * n_fixed
+    tu_nb = mu * apply(du, n_bar) - q * n_bar
+    defect = t_n - tu_nb
+    return (kernel.from_vector_planes(defect[..., :ng] - defect[..., ng:2 * ng]),
+            kernel.from_vector_planes(defect[..., 2 * ng:]))
 
 
 # -- trajectory norms ------------------------------------------------------------
@@ -840,13 +844,16 @@ def global_continue(v0: Field, cfg: IterationConfig, params: MaterialParams,
                       cofactors=all_cof, lagrangian_maps=all_maps,
                       meta={"eps0": eps0, "bound": bound}, uvecs=vecs, workspace=ws)
 
+    from .diagnostics import decay_fit, momentum_and_barycenter
     vel = np.sqrt(np.maximum(2.0 * full.diagnostics["energy"], 1e-300))
     try:
-        from .diagnostics import decay_fit
         rate, _ = decay_fit(vel, cfg.dt)
     except (DomainError, ParameterError):
         rate = float("nan")
-    drift = _lagrangian_momentum_drift(full, params, ws)
+    # stored, so that the diagnostics of this trajectory reuse them
+    mom = momentum_and_barycenter(full, params, ws)
+    full.diagnostics["lagrangian_momenta"] = mom.momenta
+    drift = float(mom.residuals["momentum"].max())
     a_fit, b_fit = fit_x_recursion(np.array(x_vals))
     report = XReport(times=np.asarray(x_times), x_values=np.asarray(x_vals),
                      bound=bound, exceeded=exceeded, eps0=eps0,
@@ -883,8 +890,3 @@ class _XFunctional:
             self.pterms.extend(weight * fem.field_h1(P))
         return _lp(self.terms, dt, self.p) + _lp(self.pterms, dt, self.p)
 
-
-def _lagrangian_momentum_drift(traj: Trajectory, params, ws) -> float:
-    from .diagnostics import momentum_and_barycenter
-    rep = momentum_and_barycenter(traj, params, ws)
-    return float(rep.residuals["momentum"].max())

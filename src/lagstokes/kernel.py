@@ -28,34 +28,68 @@ DEFAULT_SERIES_TOL = 1e-13
 DEFAULT_MAX_ORDER = 64
 
 
-# Stacked 2x2 algebra written out by component into one output array: on
-# (..., 2, 2) stacks this is several times faster than a broadcasting
-# einsum and gives the same floating-point sums.
+# Stacked 2x2 algebra on component planes.  A (..., 2, 2) stack is copied
+# once into a (2, 2, ...) array whose entry (i, j) is one contiguous plane;
+# a product is then three whole-array ufunc calls instead of twelve strided
+# ones, and a transpose is the view that swaps the two leading axes.  Every
+# entry is the same expression, in the same order, as written out on the
+# (..., 2, 2) layout, so the results are the same bits.  Vectors use the
+# same layout, (2, ...) with one plane per component.  The public arrays
+# keep their (..., 2, 2) and (..., 2) layouts; the kernels convert once on
+# entry and once on exit.
 
-def mul2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products a @ b of broadcastable (..., 2, 2) matrix stacks."""
-    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
-    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
-    out[..., 0, 0] = a00 * b00 + a01 * b10
-    out[..., 0, 1] = a00 * b01 + a01 * b11
-    out[..., 1, 0] = a10 * b00 + a11 * b10
-    out[..., 1, 1] = a10 * b01 + a11 * b11
+def to_planes(mats: np.ndarray) -> np.ndarray:
+    """(..., 2, 2) matrices as contiguous (2, 2, ...) component planes."""
+    mats = np.asarray(mats, dtype=float)
+    return np.ascontiguousarray(mats.reshape(-1, 4).T).reshape((2, 2) + mats.shape[:-2])
+
+
+def from_planes(planes: np.ndarray) -> np.ndarray:
+    """(2, 2, ...) component planes as a contiguous (..., 2, 2) stack."""
+    return np.ascontiguousarray(planes.reshape(4, -1).T).reshape(planes.shape[2:] + (2, 2))
+
+
+def vector_planes(vecs: np.ndarray) -> np.ndarray:
+    """(..., 2) vectors as contiguous (2, ...) component planes."""
+    vecs = np.asarray(vecs, dtype=float)
+    return np.ascontiguousarray(vecs.reshape(-1, 2).T).reshape((2,) + vecs.shape[:-1])
+
+
+def from_vector_planes(planes: np.ndarray) -> np.ndarray:
+    """(2, ...) component planes as contiguous (..., 2) vectors."""
+    return np.ascontiguousarray(planes.reshape(2, -1).T).reshape(planes.shape[1:] + (2,))
+
+
+def _lift(planes: np.ndarray, ndim: int, n_lead: int) -> np.ndarray:
+    """Pad the stack shape after the ``n_lead`` component axes with unit
+    axes, so that stacks of different depth broadcast behind them."""
+    if planes.ndim == ndim:
+        return planes
+    return planes.reshape(planes.shape[:n_lead] + (1,) * (ndim - planes.ndim)
+                          + planes.shape[n_lead:])
+
+
+def mul_planes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products a @ b of broadcastable (2, 2, ...) plane stacks."""
+    ndim = max(a.ndim, b.ndim)
+    a, b = _lift(a, ndim, 2), _lift(b, ndim, 2)
+    out = a[:, :1] * b[:1]                   # a_i0 b_0k
+    out += a[:, 1:] * b[1:]                  # + a_i1 b_1k
     return out
 
 
-def apply2x2(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector products m @ v of broadcastable (..., 2, 2) and
-    (..., 2) stacks."""
-    out = np.empty(np.broadcast_shapes(m.shape[:-1], v.shape), dtype=np.result_type(m, v))
-    out[..., 0] = m[..., 0, 0] * v[..., 0] + m[..., 0, 1] * v[..., 1]
-    out[..., 1] = m[..., 1, 0] * v[..., 0] + m[..., 1, 1] * v[..., 1]
+def apply_planes(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Matrix-vector products m @ v of broadcastable (2, 2, ...) and
+    (2, ...) plane stacks."""
+    ndim = max(m.ndim - 1, v.ndim)
+    m, v = _lift(m, ndim + 1, 2), _lift(v, ndim, 1)
+    out = m[:, 0] * v[0]
+    out += m[:, 1] * v[1]
     return out
 
 
-def _spectral_norms(mats: np.ndarray) -> np.ndarray:
-    """Exact per-node 2-norm of (..., n, 2, 2) matrices."""
-    m00, m01, m10, m11 = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1]
+def _norms(m00, m01, m10, m11) -> np.ndarray:
+    """Exact 2-norm of 2x2 matrices given entry by entry."""
     s00 = m00 * m00 + m10 * m10              # entries of mats^T mats
     s11 = m01 * m01 + m11 * m11
     s01 = m00 * m01 + m10 * m11
@@ -63,6 +97,28 @@ def _spectral_norms(mats: np.ndarray) -> np.ndarray:
     det = s00 * s11 - s01 * s01
     disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
     return np.sqrt(np.maximum(0.5 * (tr + disc), 0.0))
+
+
+def norms_planes(planes: np.ndarray) -> np.ndarray:
+    """Exact 2-norm of each matrix of a (2, 2, ...) plane stack."""
+    return _norms(planes[0, 0], planes[0, 1], planes[1, 0], planes[1, 1])
+
+
+def mul2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products a @ b of broadcastable (..., 2, 2) matrix stacks."""
+    return from_planes(mul_planes(to_planes(a), to_planes(b)))
+
+
+def apply2x2(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Matrix-vector products m @ v of broadcastable (..., 2, 2) and
+    (..., 2) stacks."""
+    return from_vector_planes(apply_planes(to_planes(m), vector_planes(v)))
+
+
+def _spectral_norms(mats: np.ndarray) -> np.ndarray:
+    """Exact per-node 2-norm of (..., n, 2, 2) matrices, evaluated on the
+    strided entries: a norm alone does not pay for a plane copy."""
+    return _norms(mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1])
 
 
 @dataclass
@@ -202,29 +258,30 @@ def neumann_cofactor(C: DisplacementGradient, tol: float = DEFAULT_SERIES_TOL,
     stops each time at its own order, so every time gets exactly the
     result, order and kappa of a single-time call.
     """
-    kmax = _spectral_norms(C.mats).max(axis=-1)          # one per time
+    c = to_planes(C.mats)
+    kmax = norms_planes(c).max(axis=-1)              # one per time
     if np.any(kmax > kappa * (1.0 + 1e-12)):         # boundary ||C|| = kappa admissible
         raise GeometryError(
             f"displacement gradient norm {kmax.max():.3g} exceeds kappa={kappa}; "
             "reduce the time horizon")
-    acc = np.zeros_like(C.mats)
-    acc[..., 0, 0] = 1.0
-    acc[..., 1, 1] = 1.0
+    acc = np.zeros_like(c)
+    acc[0, 0] = 1.0
+    acc[1, 1] = 1.0
     term = acc.copy()
     order = np.zeros(kmax.shape, dtype=np.int64)
     active = np.ones(kmax.shape, dtype=bool)
     for k in range(1, max_order + 1):
-        term = -mul2x2(term, C.mats)
-        active &= ~(_spectral_norms(term).max(axis=-1) < tol)
+        term = np.negative(mul_planes(term, c))
+        active &= ~(norms_planes(term).max(axis=-1) < tol)
         if not active.any():
             break
         # a stopped time adds an exact zero, which leaves its sum unchanged
-        acc += term * active[..., None, None, None]
+        acc += term * active[..., None]
         order += active
     else:
         raise ConvergenceError(
             f"cofactor series did not reach tol={tol} within {max_order} terms")
-    return CofactorField(C.mesh, acc, orders=order, kappas=kmax)
+    return CofactorField(C.mesh, from_planes(acc), orders=order, kappas=kmax)
 
 
 def direct_inverse_oracle(C: DisplacementGradient) -> CofactorField:
@@ -297,18 +354,20 @@ def pushforward_normal(A: CofactorField, mesh: RefMesh,
     On Gamma the two traces of A are averaged before applying, keeping the
     transformed normal single-valued on the interface.
     """
-    gm = 0.5 * (A.mats[..., mesh.sdof_plus[mesh.gamma_nodes], :, :]
-                + A.mats[..., mesh.sdof_minus[mesh.gamma_nodes], :, :])
-    gvec = apply2x2(gm, mesh.node_normals_gamma)
     outer_sdofs = mesh.sdof_minus if mesh.outer_phase < 0 else mesh.sdof_plus
-    om = A.mats[..., outer_sdofs[mesh.gamma_plus_nodes], :, :]
-    ovec = apply2x2(om, mesh.node_normals_outer)
+    ng = len(mesh.gamma_nodes)
+    traces = to_planes(A.mats[..., np.concatenate([mesh.sdof_plus[mesh.gamma_nodes],
+                                                   mesh.sdof_minus[mesh.gamma_nodes],
+                                                   outer_sdofs[mesh.gamma_plus_nodes]]), :, :])
+    gm = 0.5 * (traces[..., :ng] + traces[..., ng:2 * ng])
+    gvec = apply_planes(gm, vector_planes(mesh.node_normals_gamma))
+    ovec = apply_planes(traces[..., 2 * ng:], vector_planes(mesh.node_normals_outer))
     for vec, name in ((gvec, "Gamma"), (ovec, "Gamma_plus")):
-        mags = np.linalg.norm(vec, axis=-1)
+        mags = np.sqrt(vec[0] * vec[0] + vec[1] * vec[1])
         if np.any(mags < degeneracy_tol):
             raise GeometryError(f"|A n| degenerate on {name}")
-        vec /= mags[..., None]
-    return TransformedNormal(mesh, gvec, ovec)
+        vec /= mags
+    return TransformedNormal(mesh, from_vector_planes(gvec), from_vector_planes(ovec))
 
 
 @dataclass

@@ -149,7 +149,7 @@ class StokesWorkspace:
         x0 and row m solves saddle(1/dt) x_m = [M u_{m-1} / dt, 0] + load(m - 1),
         where u_{m-1} is the velocity part of row m - 1.  ``load`` is None
         (zero data) or a function of the step index returning a full-length
-        load vector.
+        load vector; ``n_steps`` must not be negative.
 
         Every step is refined once against the full saddle S, as
         ``CondensedSaddle.solve`` does, but the refinement is pipelined.
@@ -161,31 +161,47 @@ class StokesWorkspace:
         once refined against its true right-hand side, as accurate as the
         per-step refined solve: only its starting guess x~_m differs, by
         refinement size, and the residual absorbs that.  With n_steps = 1
-        this is exactly ``CondensedSaddle.solve``.
+        this is exactly ``CondensedSaddle.solve``.  Apart from the
+        triangular solve's result, the step loop allocates nothing: its
+        right-hand sides and products write into buffers made once per
+        march.
         """
         if dt <= 0:
             raise ParameterError(f"dt must be positive, got {dt}")
+        if n_steps < 0:
+            raise ParameterError(f"n_steps must be non-negative, got {n_steps}")
         lu = self.step_factorization(dt)
-        nu = self.nu
+        nu, mass, matrix = self.nu, self.mass, lu.matrix
         xs = np.empty((n_steps + 1, nu + self.np_))
         xs[0] = x0
         if n_steps == 0:
             return xs
 
-        def rhs(x, ld):
-            b = np.zeros(xs.shape[1]) if ld is None else ld.copy()
-            b[:nu] += self.mass @ x[:nu] / dt
-            return b
+        # every step reuses these buffers; b holds b_m, then the residual r_m
+        b, bt, sx, corr, xt_next = np.empty((5, xs.shape[1]))
+        mx = np.empty(nu)
+        solve_pair = lu.pair_solver()
+
+        def rhs(x, ld, out):
+            """out = [M x_u / dt, 0] + ld."""
+            if ld is None:
+                out.fill(0.0)
+            else:
+                out[:] = ld
+            out[:nu] += np.divide(fem.csr_matvec(mass, x[:nu], mx), dt, out=mx)
+            return out
 
         ld = None if load is None else load(0)
-        b = rhs(x0, ld)                            # b_1, from the exact x_0
+        rhs(xs[0], ld, b)                          # b_1, from the exact x_0
         xt = lu.solve_unrefined(b)                 # x~_1
         for m in range(1, n_steps):
             ld = None if load is None else load(m)
-            pair = lu.solve_unrefined(np.column_stack([b - lu.matrix @ xt, rhs(xt, ld)]))
-            xs[m] = xt + pair[:, 0]                # refined x_m
-            b, xt = rhs(xs[m], ld), pair[:, 1]     # b_{m+1} and x~_{m+1}
-        xs[n_steps] = xt + lu.solve_unrefined(b - lu.matrix @ xt)
+            np.subtract(b, fem.csr_matvec(matrix, xt, sx), out=b)     # r_m
+            solve_pair(b, rhs(xt, ld, bt), corr, xt_next)
+            np.add(xt, corr, out=xs[m])            # refined x_m
+            rhs(xs[m], ld, b)                      # b_{m+1}
+            xt, xt_next = xt_next, xt              # x~_{m+1}
+        xs[n_steps] = xt + lu.solve_unrefined(b - matrix @ xt)
         return xs
 
     @cached_property

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from lagstokes import fem
-from lagstokes.errors import SolverError
+from lagstokes.errors import ShapeError, SolverError
 from lagstokes.mesh import Field, build_two_phase_disk
 from lagstokes.stepper import StokesWorkspace, run_linear
 from lagstokes.transmission import MaterialParams, project_out_rigid
@@ -54,6 +54,26 @@ def test_refined_solve_is_componentwise_backward_stable(ws, dt):
     x = lu.solve(rhs)
     omega = np.abs(lu.matrix @ x - rhs) / (abs(lu.matrix) @ np.abs(x) + np.abs(rhs))
     assert omega.max() <= 1e-15
+
+
+def test_pair_solver_is_bit_equal_to_the_two_column_solve(ws):
+    # the march's pair solver condenses and expands one column at a time
+    lu = ws.step_factorization(0.05)
+    rhs = np.random.default_rng(13).standard_normal((ws.nu + ws.np_, 2))
+    out = np.full((2, ws.nu + ws.np_), np.nan)
+    lu.pair_solver()(rhs[:, 0].copy(), rhs[:, 1].copy(), out[0], out[1])
+    assert np.array_equal(out.T, lu.solve_unrefined(rhs))
+
+
+def test_csr_matvec_is_bit_equal_to_the_product(ws):
+    lu = ws.step_factorization(0.05)
+    x = np.random.default_rng(17).standard_normal(ws.nu + ws.np_)
+    for op, vec in ((lu.matrix, x), (ws.mass, x[:ws.nu]), (lu._condense, x),
+                    (lu._expand, np.resize(x, lu._expand.shape[1]))):
+        out = np.full(op.shape[0], np.nan)
+        assert np.array_equal(fem.csr_matvec(op, vec, out), op @ vec)
+    with pytest.raises(ShapeError):
+        fem.csr_matvec(lu.matrix.tocsc(), x, np.empty(len(x)))
 
 
 def test_factor_excludes_the_bubbles(ws):

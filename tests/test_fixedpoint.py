@@ -408,6 +408,31 @@ def test_global_continue_factors_the_projection_once_per_workspace(mesh, monkeyp
         assert len(builds) == n_built and builds[-1] is mesh
 
 
+def test_global_continue_evaluates_the_lagrangian_momenta_once(mesh, ws, monkeypatch):
+    from lagstokes import diagnostics
+    calls = []
+    evaluate = diagnostics._lagrangian_momenta
+
+    def counting(*args):
+        calls.append(1)
+        return evaluate(*args)
+
+    monkeypatch.setattr(diagnostics, "_lagrangian_momenta", counting)
+    cfg = IterationConfig(dt=0.05, horizon=1.1, smallness=10.0)
+    traj, rep = global_continue(smooth_datum(mesh, ws, 0.02), cfg, PARAMS, workspace=ws)
+    n_evals = len(calls)
+    assert n_evals > 0
+    # the budgets of the same workspace reuse the stored series
+    mb = diagnostics.momentum_and_barycenter(traj, PARAMS, ws)
+    assert len(calls) == n_evals
+    assert np.array_equal(mb.momenta, traj.diagnostics["lagrangian_momenta"])
+    assert rep.momenta_drift == float(mb.residuals["momentum"].max())
+    # another workspace evaluates them again, to the same bits
+    fresh = diagnostics.momentum_and_barycenter(traj, PARAMS, StokesWorkspace(mesh, PARAMS))
+    assert len(calls) == 2 * n_evals
+    assert np.array_equal(fresh.momenta, mb.momenta)
+
+
 def test_global_smallness_guard(mesh, ws):
     cfg = IterationConfig(dt=0.05, horizon=0.5, smallness=1e-6)
     with pytest.raises(ValidationError):

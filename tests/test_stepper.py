@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lagstokes import fem
-from lagstokes.errors import DataError, ParameterError, ResolventError
+from lagstokes.errors import DataError, ParameterError, ResolventError, SolverError
 from lagstokes.mesh import Field, build_two_phase_disk
 from lagstokes.stepper import (StokesData, StokesState, StokesWorkspace, korn_constant,
                                run_linear, solve_resolvent, step_linear)
@@ -39,6 +39,27 @@ def test_bad_dt_rejected(mesh, ws):
     state = StokesState(Field.zeros(mesh, 2), Field.zeros(mesh, 1), 0.0)
     with pytest.raises(ParameterError):
         step_linear(state, StokesData.zero(), -0.1, PARAMS, ws)
+
+
+@pytest.mark.parametrize("n_steps", [-1, -3])
+def test_negative_step_count_rejected(mesh, ws, n_steps):
+    with pytest.raises(ParameterError):
+        run_linear(smooth_orthogonal(mesh, ws), n_steps, 0.05, PARAMS, workspace=ws)
+    with pytest.raises(ParameterError):
+        ws.march(0.05, np.zeros(ws.nu + ws.np_), n_steps)
+
+
+@pytest.mark.parametrize("bad_step", [0, 3, 5])
+def test_non_finite_load_stops_the_march(ws, bad_step):
+    # the NaN reaches a triangular solve, whose finiteness check raises: in
+    # the first solve (step 0), a pipelined pair (3) or the last pair (5)
+    def load(m):
+        ld = np.zeros(ws.nu + ws.np_)
+        ld[0] = np.nan if m == bad_step else 1.0
+        return ld
+
+    with pytest.raises(SolverError):
+        ws.march(0.05, np.zeros(ws.nu + ws.np_), 6, load)
 
 
 def test_rigid_motions_are_equilibria(mesh, ws):
