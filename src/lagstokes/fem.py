@@ -123,11 +123,34 @@ def velocity_mass(mesh: RefMesh, weight_per_cell: np.ndarray) -> sp.csr_matrix:
     return (blocks[0] + blocks[1]).tocsr()
 
 
-def deformation_stiffness(mesh: RefMesh, mu_per_cell: np.ndarray) -> sp.csr_matrix:
-    """a(u, v) = 1/2 (mu D(u), D(v)) with D(w) = grad^T w + grad w^T."""
-    dN = _basis_grads(mesh)
-    s1 = np.einsum("q,cqaj,cqbj->cab", _QW, dN, dN) * mesh.areas[:, None, None]
-    s2 = np.einsum("q,cqam,cqbi->cambi", _QW, dN, dN) * mesh.areas[:, None, None, None, None]
+def _grad_dot_grad(dN: np.ndarray) -> np.ndarray:
+    """(nc, 4, 4) quadrature of dN_a . dN_b, summed point by point in the
+    order of ``np.einsum("q,cqaj,cqbj->cab", _QW, dN, dN)``:
+    s = (w_q dN_0 dN_0^T + w_q dN_1 dN_1^T) + s, on contiguous planes of
+    the two gradient components; the same bits in half the time."""
+    d = np.ascontiguousarray(dN.transpose(3, 1, 0, 2))          # (j, q, c, a)
+    nc = dN.shape[0]
+    s, t0, t1 = np.zeros((3, nc, _NB, _NB))
+    w0, w1 = np.empty((2, nc, _NB))
+    for q in range(_NQ):
+        np.multiply(d[0, q], _QW[q], out=w0)
+        np.multiply(d[1, q], _QW[q], out=w1)
+        np.multiply(w0[:, :, None], d[0, q][:, None, :], out=t0)
+        np.multiply(w1[:, :, None], d[1, q][:, None, :], out=t1)
+        t0 += t1
+        s += t0
+    return s
+
+
+def deformation_stiffness(mesh: RefMesh, mu_per_cell: np.ndarray,
+                          basis_grads: np.ndarray | None = None) -> sp.csr_matrix:
+    """a(u, v) = 1/2 (mu D(u), D(v)) with D(w) = grad^T w + grad w^T.
+    ``basis_grads`` passes the mesh's ``_basis_grads`` when the caller
+    already has them."""
+    dN = _basis_grads(mesh) if basis_grads is None else basis_grads
+    s1 = _grad_dot_grad(dN) * mesh.areas[:, None, None]
+    s2 = np.einsum("cqam,cqbi->cambi", dN * _QW[:, None, None], dN) \
+        * mesh.areas[:, None, None, None, None]
     w = mu_per_cell
     dofs = _cell_udofs(mesh)
     n = n_udofs(mesh)
@@ -141,11 +164,14 @@ def deformation_stiffness(mesh: RefMesh, mu_per_cell: np.ndarray) -> sp.csr_matr
     return out.tocsr()
 
 
-def div_coupling(mesh: RefMesh, cell_scalar_dofs: np.ndarray, n_scalar: int) -> sp.csr_matrix:
-    """B[s, udof] = (lambda_s, div v) over the given scalar dof map."""
-    dN = _basis_grads(mesh)
+def div_coupling(mesh: RefMesh, cell_scalar_dofs: np.ndarray, n_scalar: int,
+                 basis_grads: np.ndarray | None = None) -> sp.csr_matrix:
+    """B[s, udof] = (lambda_s, div v) over the given scalar dof map.
+    ``basis_grads`` passes the mesh's ``_basis_grads`` when the caller
+    already has them."""
+    dN = _basis_grads(mesh) if basis_grads is None else basis_grads
     # E[c, s, b, j] = int lambda_s dN_b^j
-    e = np.einsum("q,qs,cqbj->csbj", _QW, _QL, dN) * mesh.areas[:, None, None, None]
+    e = np.einsum("qs,cqbj->csbj", _QW[:, None] * _QL, dN) * mesh.areas[:, None, None, None]
     dofs = _cell_udofs(mesh)
     n = n_udofs(mesh)
     out = sp.csr_matrix((n_scalar, n))
@@ -411,6 +437,69 @@ class Factorized:
         return float(np.linalg.norm(r)) / scale
 
 
+def condense_bubbles(a: sp.csr_matrix, n_nodal: int, n_velocity: int):
+    """The bubble condensation of :class:`CondensedSaddle` for the canonical
+    CSR saddle ``a``: (reduced, condense, expand), the sign-adjusted
+    condensed matrix, the CSR map of a full right-hand side to the condensed
+    one, and the CSR map of [condensed solution, f_b] to the full solution.
+
+    The blocks are slices of ``a`` cleared of explicit zeros, as sparse
+    products clear theirs, and the two maps are assembled from blocks.  The
+    in-row order of a map fixes the summation order of every product with
+    it, so it is part of the map: ``condense`` lists each row's columns in
+    decreasing order (the order a sparse product leaves behind) and
+    ``expand`` in increasing order.  tests/test_assembly.py holds all three
+    bit for bit to the products with identity rows and columns.
+    """
+    n, nb = a.shape[0], n_velocity - n_nodal
+    bubbles = slice(n_nodal, n_velocity)
+    keep = np.r_[0:n_nodal, n_velocity:n]
+    nk = len(keep)
+    a_k, a_b = a[keep], a[bubbles]                     # kept and bubble rows
+    a_k.eliminate_zeros()
+    a_b.eliminate_zeros()
+    kbb = a_b[:, bubbles]
+    # closed-form inverse of each cell's 2x2 block [[k00, k01], [k10, k11]]
+    diag = kbb.diagonal()
+    k00, k11 = diag[0::2], diag[1::2]
+    k01, k10 = kbb.diagonal(1)[0::2], kbb.diagonal(-1)[0::2]
+    det = k00 * k11 - k01 * k10
+    blocks = np.stack([k11, -k01, -k10, k00], axis=1) / det[:, None]
+    kbb_inv = sp.bsr_matrix((blocks.reshape(-1, 2, 2), np.arange(nb // 2),
+                             np.arange(nb // 2 + 1)), shape=(nb, nb)).tocsr()
+    a_bk = a_b[:, keep]
+    a_kb_inv = a_k[:, bubbles] @ kbb_inv               # A_kb K_bb^-1, rows decreasing
+    signs = np.r_[np.ones(n_nodal), -np.ones(n - n_velocity)]
+    reduced = sp.diags(signs) @ (a_k[:, keep] - a_kb_inv @ a_bk)
+
+    # condense = signs (pick_k - A_kb K_bb^-1 pick_b): row i holds -sign_i times
+    # row i of A_kb K_bb^-1 on the bubble columns and sign_i on column keep[i],
+    # which comes last in a nodal row and first in a pressure row
+    counts = np.diff(a_kb_inv.indptr)
+    row = np.repeat(np.arange(nk), counts)
+    at = np.arange(a_kb_inv.nnz) + row + (row >= n_nodal)
+    indptr = a_kb_inv.indptr + np.arange(nk + 1)
+    indices = np.empty(a_kb_inv.nnz + nk, dtype=a_kb_inv.indices.dtype)
+    data = np.empty(len(indices))
+    indices[at] = a_kb_inv.indices + n_nodal
+    data[at] = -signs[row] * a_kb_inv.data
+    own = np.where(np.arange(nk) < n_nodal, indptr[1:] - 1, indptr[:-1])
+    indices[own] = keep
+    data[own] = signs
+    condense = sp.csr_matrix((data, indices, indptr), shape=(nk, n))
+
+    # expand: the identity on the kept dofs; bubble row b is
+    # [-(K_bb^-1 A_bk)_b, (K_bb^-1)_b]
+    recover = kbb_inv @ a_bk
+    recover.sort_indices()
+    recover.data = -recover.data
+    expand = sp.vstack([sp.eye(n_nodal, nk + nb, format="csr"),
+                        sp.hstack([recover, kbb_inv], format="csr"),
+                        sp.eye(nk - n_nodal, nk + nb, k=n_nodal, format="csr")],
+                       format="csr")
+    return reduced, condense, expand
+
+
 class CondensedSaddle(Factorized):
     """Solver for the MINI saddle [[K, -B^T], [B, 0]] with the bubbles
     condensed out (Arnold, Brezzi & Fortin, Calcolo 21, 1984).
@@ -446,32 +535,11 @@ class CondensedSaddle(Factorized):
 
     def __init__(self, saddle: sp.spmatrix, n_nodal: int, n_velocity: int):
         a = saddle.tocsr()
-        n, nb = a.shape[0], n_velocity - n_nodal
         self._bubbles = slice(n_nodal, n_velocity)
-        keep = np.r_[0:n_nodal, n_velocity:n]
-        eye = sp.identity(n, format="csr")
-        pick_k, pick_b = eye[keep], eye[self._bubbles]     # row selections
-        a_k, a_b = pick_k @ a, pick_b @ a                  # kept and bubble rows
-        kbb = a_b @ pick_b.T
-        # closed-form inverse of each cell's 2x2 block [[k00, k01], [k10, k11]]
-        diag = kbb.diagonal()
-        k00, k11 = diag[0::2], diag[1::2]
-        k01, k10 = kbb.diagonal(1)[0::2], kbb.diagonal(-1)[0::2]
-        det = k00 * k11 - k01 * k10
-        blocks = np.stack([k11, -k01, -k10, k00], axis=1) / det[:, None]
-        kbb_inv = sp.bsr_matrix((blocks.reshape(-1, 2, 2), np.arange(nb // 2),
-                                 np.arange(nb // 2 + 1)), shape=(nb, nb)).tocsr()
-        a_bk = a_b @ pick_k.T
-        a_kb_inv = a_k @ pick_b.T @ kbb_inv                # A_kb K_bb^-1
-        signs = sp.diags(np.r_[np.ones(n_nodal), -np.ones(n - n_velocity)])
-        reduced = signs @ (a_k @ pick_k.T - a_kb_inv @ a_bk)
-        # full rhs -> condensed rhs, and [condensed solution, f_b] -> full solution
-        self._condense = (signs @ (pick_k - a_kb_inv @ pick_b)).tocsr()
-        self._expand = sp.hstack([pick_k.T - pick_b.T @ kbb_inv @ a_bk,
-                                  pick_b.T @ kbb_inv]).tocsr()
+        reduced, self._condense, self._expand = condense_bubbles(a, n_nodal, n_velocity)
         super().__init__(reduced, quasi_definite=True)
         self.matrix = a
-        probe = np.random.default_rng(0).standard_normal(n)
+        probe = np.random.default_rng(0).standard_normal(a.shape[0])
         x = self.solve(probe)
         omega = np.max(np.abs(a @ x - probe) / (abs(a) @ np.abs(x) + np.abs(probe)))
         if not omega <= _PROBE_BACKWARD_ERROR_TOL:

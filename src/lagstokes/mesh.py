@@ -120,20 +120,18 @@ class RefMesh:
 
     def _build_facets(self):
         centroids = self.nodes[self.cells].mean(axis=1)
-        nf = len(self.interface_facets) + len(self.outer_facets)
-        normals = np.empty((nf, 2))
-        lengths = np.empty(nf)
-        for k, (a, b, cplus, cminus) in enumerate(self.interface_facets):
-            if self.phase[cplus] != 1 or self.phase[cminus] != -1:
-                raise ParameterError(f"interface facet {k} is not shared by one + and one - cell")
-            normals[k], lengths[k] = _edge_normal(self.nodes[a], self.nodes[b],
-                                                  away_from=centroids[cplus])
         off = len(self.interface_facets)
-        for k, (a, b, c) in enumerate(self.outer_facets):
-            if self.phase[c] != self.outer_phase:
-                raise ParameterError(f"outer facet {k} owner phase disagrees with outer_phase")
-            normals[off + k], lengths[off + k] = _edge_normal(self.nodes[a], self.nodes[b],
-                                                              away_from=centroids[c])
+        bad = np.flatnonzero((self.phase[self.interface_facets[:, 2]] != 1)
+                             | (self.phase[self.interface_facets[:, 3]] != -1))
+        if len(bad):
+            raise ParameterError(f"interface facet {bad[0]} is not shared by one + and one - cell")
+        bad = np.flatnonzero(self.phase[self.outer_facets[:, 2]] != self.outer_phase)
+        if len(bad):
+            raise ParameterError(f"outer facet {bad[0]} owner phase disagrees with outer_phase")
+        ends = np.concatenate([self.interface_facets[:, :2], self.outer_facets[:, :2]])
+        owners = np.concatenate([self.interface_facets[:, 2], self.outer_facets[:, 2]])
+        normals, lengths = _edge_normals(self.nodes[ends[:, 0]], self.nodes[ends[:, 1]],
+                                         away_from=centroids[owners])
         object.__setattr__(self, "facet_normals", normals)
         object.__setattr__(self, "facet_lengths", lengths)
         object.__setattr__(self, "node_normals_gamma",
@@ -242,19 +240,21 @@ class RefMesh:
         nrm = np.linalg.norm(self.facet_normals, axis=1)
         if np.any(np.abs(nrm - 1.0) > _UNIT_TOL):
             raise ParameterError("facet normal not unit length")
-        for a, b, cp, cm in self.interface_facets:
-            if self.phase[cp] != 1 or self.phase[cm] != -1:
-                raise ParameterError("interface facet phase pairing broken")
+        if np.any((self.phase[self.interface_facets[:, 2]] != 1)
+                  | (self.phase[self.interface_facets[:, 3]] != -1)):
+            raise ParameterError("interface facet phase pairing broken")
 
 
-def _edge_normal(xa: np.ndarray, xb: np.ndarray, away_from: np.ndarray):
+def _edge_normals(xa: np.ndarray, xb: np.ndarray, away_from: np.ndarray):
+    """Unit normals and lengths of the edges xa -> xb, (n, 2) each; every
+    normal points away from its row of ``away_from``."""
     t = xb - xa
-    length = float(np.hypot(t[0], t[1]))
-    n = np.array([t[1], -t[0]]) / length
-    mid = 0.5 * (xa + xb)
-    if np.dot(n, away_from - mid) > 0:
-        n = -n
-    return n, length
+    lengths = np.hypot(t[:, 0], t[:, 1])
+    n = np.column_stack([t[:, 1], -t[:, 0]]) / lengths[:, None]
+    d = away_from - 0.5 * (xa + xb)
+    flip = n[:, 0] * d[:, 0] + n[:, 1] * d[:, 1] > 0
+    n[flip] = -n[flip]
+    return n, lengths
 
 
 def _node_normals(mesh: RefMesh, nodes: np.ndarray, facet_nodes: np.ndarray,
@@ -268,6 +268,17 @@ def _node_normals(mesh: RefMesh, nodes: np.ndarray, facet_nodes: np.ndarray,
     return out / nrm
 
 
+def _mesh_size(name: str, value, minimum: int) -> int:
+    """A mesh size as a Python int: integral (numpy integers included) and at
+    least ``minimum``, which also rejects bool; raises ParameterError
+    otherwise."""
+    if not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ParameterError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 def build_two_phase_disk(n_radial: int, n_angular: int,
                          r_inner: float, r_outer: float) -> RefMesh:
     """Concentric two-phase disk: inner disk labeled +, annulus labeled -.
@@ -276,11 +287,15 @@ def build_two_phase_disk(n_radial: int, n_angular: int,
     circle of radius ``r_inner`` is the interface Gamma and the circle of
     radius ``r_outer`` is the free boundary Gamma_plus (so outer facets
     belong to minus cells: the annulus-droplet configuration).
+
+    Node 0 is the center and ring i (1-based) holds nodes
+    1 + (i - 1) * n_angular + k.  The cells are the center fan, then per
+    ring gap and per angle k the pair (a_k, b_k, b_k1), (a_k, b_k1, a_k1)
+    with b the next ring out and k1 = (k + 1) mod n_angular; all arrays are
+    built by index arithmetic, without Python loops.
     """
-    if n_radial < 2:
-        raise ParameterError(f"n_radial must be >= 2, got {n_radial}")
-    if n_angular < 8:
-        raise ParameterError(f"n_angular must be >= 8, got {n_angular}")
+    n_radial = _mesh_size("n_radial", n_radial, 2)
+    n_angular = _mesh_size("n_angular", n_angular, 8)
     if not (0.0 < r_inner < r_outer):
         raise ParameterError(f"need 0 < r_inner < r_outer, got {r_inner}, {r_outer}")
 
@@ -289,49 +304,46 @@ def build_two_phase_disk(n_radial: int, n_angular: int,
         r_inner + (r_outer - r_inner) * np.arange(1, n_radial + 1) / n_radial,
     ])
     theta = 2 * np.pi * np.arange(n_angular) / n_angular
-    nodes = [np.zeros((1, 2))]
-    for r in radii:
-        nodes.append(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
-    nodes = np.vstack(nodes)
+    nodes = np.zeros((1 + len(radii) * n_angular, 2))
+    nodes[1:, 0] = (radii[:, None] * np.cos(theta)).ravel()
+    nodes[1:, 1] = (radii[:, None] * np.sin(theta)).ravel()
 
-    def ring(i):  # node ids of ring i (1-based; ring 0 is the center point)
-        return 1 + (i - 1) * n_angular + np.arange(n_angular)
-
-    cells = []
-    r1 = ring(1)
-    for k in range(n_angular):
-        cells.append((0, r1[k], r1[(k + 1) % n_angular]))
-    for i in range(1, 2 * n_radial):
-        a, b = ring(i), ring(i + 1)
-        for k in range(n_angular):
-            k1 = (k + 1) % n_angular
-            cells.append((a[k], b[k], b[k1]))
-            cells.append((a[k], b[k1], a[k1]))
-    cells = np.array(cells, dtype=np.int64)
+    k = np.arange(n_angular)
+    k1 = (k + 1) % n_angular
+    fan = np.column_stack([np.zeros(n_angular, dtype=np.int64), 1 + k, 1 + k1])
+    a0 = 1 + n_angular * np.arange(2 * n_radial - 1)[:, None]    # first node of ring i
+    ak, ak1 = a0 + k, a0 + k1                                     # (ring gap, angle)
+    bk, bk1 = ak + n_angular, ak1 + n_angular
+    pairs = np.stack([np.stack([ak, bk, bk1], axis=-1),
+                      np.stack([ak, bk1, ak1], axis=-1)], axis=2)  # (gap, angle, 2, 3)
+    cells = np.concatenate([fan, pairs.reshape(-1, 3)]).astype(np.int64)
 
     # phase by centroid radius
     centroids = nodes[cells].mean(axis=1)
     phase = np.where(np.hypot(centroids[:, 0], centroids[:, 1]) < r_inner, 1, -1)
 
-    # edge -> adjacent cells
-    edge_cells: dict[tuple[int, int], list[int]] = {}
-    for c, (v0, v1, v2) in enumerate(cells):
-        for a, b in ((v0, v1), (v1, v2), (v2, v0)):
-            edge_cells.setdefault((min(a, b), max(a, b)), []).append(c)
-
-    interface, outer = [], []
-    for (a, b), adj in edge_cells.items():
-        if len(adj) == 2 and phase[adj[0]] != phase[adj[1]]:
-            cp, cm = (adj[0], adj[1]) if phase[adj[0]] == 1 else (adj[1], adj[0])
-            interface.append((a, b, cp, cm))
-        elif len(adj) == 1:
-            outer.append((a, b, adj[0]))
-    interface.sort()
-    outer.sort()
+    # edge -> adjacent cells: one stable sort of the keys lo * n_nodes + hi
+    # over the edges (v0, v1), (v1, v2), (v2, v0) of cells 0, 1, ...; an
+    # interior edge then lists its two cells in increasing order, and the
+    # facets come out sorted by (lo, hi), the order of the facet tuples
+    ends = cells[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    order = np.argsort(lo * len(nodes) + hi, kind="stable")
+    lo, hi, owner = lo[order], hi[order], order // 3
+    first = np.flatnonzero(np.r_[True, (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])])
+    count = np.diff(np.r_[first, len(order)])
+    shared = first[count == 2]
+    c0, c1 = owner[shared], owner[shared + 1]
+    cut = phase[c0] != phase[c1]
+    shared, c0, c1 = shared[cut], c0[cut], c1[cut]
+    plus_first = phase[c0] == 1
+    interface = np.column_stack([lo[shared], hi[shared],
+                                 np.where(plus_first, c0, c1), np.where(plus_first, c1, c0)])
+    single = first[count == 1]
+    outer = np.column_stack([lo[single], hi[single], owner[single]])
 
     return RefMesh(nodes=nodes, cells=cells, phase=phase,
-                   interface_facets=np.array(interface, dtype=np.int64),
-                   outer_facets=np.array(outer, dtype=np.int64),
+                   interface_facets=interface, outer_facets=outer,
                    outer_phase=-1)
 
 

@@ -120,8 +120,9 @@ class StokesWorkspace:
         if np.any(mu_c <= 0):
             raise ParameterError("viscosity must be strictly positive")
         self.mass = fem.velocity_mass(mesh, eta_c)
-        self.stiffness = fem.deformation_stiffness(mesh, mu_c)
-        self.div = fem.div_coupling(mesh, mesh.cell_sdofs, mesh.nsdof)
+        basis_grads = fem._basis_grads(mesh)          # shared by both assemblies
+        self.stiffness = fem.deformation_stiffness(mesh, mu_c, basis_grads)
+        self.div = fem.div_coupling(mesh, mesh.cell_sdofs, mesh.nsdof, basis_grads)
         self.pressure_mass = mesh.mass_operator
         self.nu = fem.n_udofs(mesh)
         self.np_ = mesh.nsdof
@@ -130,10 +131,12 @@ class StokesWorkspace:
 
     # -- operators ---------------------------------------------------------
 
-    def saddle(self, coef: float) -> sp.csc_matrix:
-        """[[coef*M + A, -B^T], [B, 0]]."""
+    def saddle(self, coef: float) -> sp.csr_matrix:
+        """[[coef*M + A, -B^T], [B, 0]], stacked from CSR blocks."""
         top = (coef * self.mass + self.stiffness).tocsr()
-        return sp.bmat([[top, -self.div.T], [self.div, None]], format="csc")
+        return sp.vstack([sp.hstack([top, -self.div.T.tocsr()], format="csr"),
+                          sp.hstack([self.div, sp.csr_matrix((self.np_, self.np_))],
+                                    format="csr")], format="csr")
 
     def step_factorization(self, dt: float) -> fem.CondensedSaddle:
         """Solver for saddle(1/dt), the backward-Euler step system, with the

@@ -391,7 +391,13 @@ def build_rigid_basis(mesh: RefMesh, params: MaterialParams) -> RigidBasis:
             raise GeometryError("degenerate rigid-motion Gram matrix")
         fields.append(fld * (1.0 / nrm))
         coeffs.append((A / nrm, b / nrm))
-    gram = np.array([[fem.field_inner(fa, fb, eta_c) for fb in fields] for fa in fields])
+    # one stacked inner product over the pairs i <= j; the Gram matrix is
+    # exactly symmetric
+    vals = np.stack([fld.values for fld in fields])
+    iu, ju = np.triu_indices(len(fields))
+    gram = np.empty((len(fields), len(fields)))
+    gram[iu, ju] = gram[ju, iu] = fem.field_inner(Field(mesh, 2, vals[iu]),
+                                                  Field(mesh, 2, vals[ju]), eta_c)
     return RigidBasis(fields, coeffs, gram)
 
 

@@ -43,6 +43,103 @@ def test_invalid_parameters_rejected():
         build_two_phase_disk(2, 8, -0.1, 1.0)
 
 
+@pytest.mark.parametrize("n_radial, n_angular", [
+    (3.0, 12), (3, 12.0), (3.5, 12), (3, 12.5),
+    (True, 12), (3, True), (np.float64(3.0), 12), (3, np.bool_(True)),
+], ids=["float-radial", "float-angular", "fraction-radial", "fraction-angular",
+        "bool-radial", "bool-angular", "np-float-radial", "np-bool-angular"])
+def test_non_integral_mesh_sizes_rejected(n_radial, n_angular):
+    with pytest.raises(ParameterError):
+        build_two_phase_disk(n_radial, n_angular, 0.5, 1.0)
+
+
+def test_numpy_integer_mesh_sizes_accepted():
+    ref = build_two_phase_disk(3, 12, 0.5, 1.0)
+    for n_radial, n_angular in ((np.int64(3), 12), (3, np.int64(12)), (np.int32(3), np.int64(12))):
+        mesh = build_two_phase_disk(n_radial, n_angular, 0.5, 1.0)
+        assert mesh.mesh_hash() == ref.mesh_hash()
+
+
+def _loop_built_disk(n_radial, n_angular, r_inner, r_outer):
+    """The per-cell and per-edge loop construction of the two-phase disk,
+    kept as the oracle of the array-built ``build_two_phase_disk``."""
+    radii = np.concatenate([
+        r_inner * np.arange(1, n_radial + 1) / n_radial,
+        r_inner + (r_outer - r_inner) * np.arange(1, n_radial + 1) / n_radial,
+    ])
+    theta = 2 * np.pi * np.arange(n_angular) / n_angular
+    nodes = [np.zeros((1, 2))]
+    for r in radii:
+        nodes.append(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
+    nodes = np.vstack(nodes)
+
+    def ring(i):
+        return 1 + (i - 1) * n_angular + np.arange(n_angular)
+
+    cells = []
+    r1 = ring(1)
+    for k in range(n_angular):
+        cells.append((0, r1[k], r1[(k + 1) % n_angular]))
+    for i in range(1, 2 * n_radial):
+        a, b = ring(i), ring(i + 1)
+        for k in range(n_angular):
+            k1 = (k + 1) % n_angular
+            cells.append((a[k], b[k], b[k1]))
+            cells.append((a[k], b[k1], a[k1]))
+    cells = np.array(cells, dtype=np.int64)
+    centroids = nodes[cells].mean(axis=1)
+    phase = np.where(np.hypot(centroids[:, 0], centroids[:, 1]) < r_inner, 1, -1)
+
+    edge_cells = {}
+    for c, (v0, v1, v2) in enumerate(cells):
+        for a, b in ((v0, v1), (v1, v2), (v2, v0)):
+            edge_cells.setdefault((min(a, b), max(a, b)), []).append(c)
+    interface, outer = [], []
+    for (a, b), adj in edge_cells.items():
+        if len(adj) == 2 and phase[adj[0]] != phase[adj[1]]:
+            cp, cm = (adj[0], adj[1]) if phase[adj[0]] == 1 else (adj[1], adj[0])
+            interface.append((a, b, cp, cm))
+        elif len(adj) == 1:
+            outer.append((a, b, adj[0]))
+    interface.sort()
+    outer.sort()
+    return RefMesh(nodes=nodes, cells=cells, phase=phase,
+                   interface_facets=np.array(interface, dtype=np.int64),
+                   outer_facets=np.array(outer, dtype=np.int64),
+                   outer_phase=-1)
+
+
+_REFMESH_ARRAYS = ("nodes", "cells", "phase", "interface_facets", "outer_facets",
+                   "gamma_nodes", "gamma_plus_nodes", "areas", "grads",
+                   "facet_normals", "facet_lengths", "sdof_plus", "sdof_minus",
+                   "cell_sdofs", "sdof_phase", "node_normals_gamma", "node_normals_outer")
+
+
+@pytest.mark.parametrize("n_radial, n_angular",
+                         [(2, 8), (3, 12), (3, 9), (5, 20), (6, 24), (24, 96)])
+def test_array_built_disk_matches_loop_oracle(n_radial, n_angular):
+    mesh = build_two_phase_disk(n_radial, n_angular, 0.5, 1.0)
+    ref = _loop_built_disk(n_radial, n_angular, 0.5, 1.0)
+    for name in _REFMESH_ARRAYS:
+        got, want = getattr(mesh, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name      # bit for bit, signs of zero too
+    assert mesh.outer_phase == ref.outer_phase
+    assert mesh.mesh_hash() == ref.mesh_hash()
+    # the per-facet loop the normals and lengths were computed with
+    centroids = mesh.nodes[mesh.cells].mean(axis=1)
+    rows = [(a, b, cp) for a, b, cp, _ in mesh.interface_facets] + list(mesh.outer_facets)
+    for k, (a, b, c) in enumerate(rows):
+        xa, xb = mesh.nodes[a], mesh.nodes[b]
+        t = xb - xa
+        length = float(np.hypot(t[0], t[1]))
+        n = np.array([t[1], -t[0]]) / length
+        if np.dot(n, centroids[c] - 0.5 * (xa + xb)) > 0:
+            n = -n
+        assert mesh.facet_normals[k].tobytes() == n.tobytes()
+        assert mesh.facet_lengths[k] == length
+
+
 def test_facet_normals_radial_and_unit():
     mesh = build_two_phase_disk(3, 16, 0.5, 1.0)
     for k in range(mesh.n_facets):

@@ -335,6 +335,16 @@ def test_rigid_basis_dimension_and_gram(mesh):
     assert np.abs(basis.gram - np.eye(3)).max() <= 1e-12
 
 
+def test_rigid_basis_gram_is_the_pairwise_inner_product(mesh):
+    # the Gram matrix comes from one stacked inner product over the pairs
+    basis = build_rigid_basis(mesh, PARAMS)
+    eta_c = PARAMS.eta_cells(mesh)
+    pairwise = np.array([[fem.field_inner(fa, fb, eta_c) for fb in basis.fields]
+                         for fa in basis.fields])
+    assert np.array_equal(basis.gram, basis.gram.T)
+    assert np.abs(basis.gram - pairwise).max() <= 1e-14
+
+
 def test_rigid_basis_members_are_rigid(mesh):
     basis = build_rigid_basis(mesh, PARAMS)
     for (A, b), fld in zip(basis.coeffs, basis.fields):
