@@ -201,6 +201,9 @@ def _validate(cfg: RunConfig) -> None:
         raise ValidationError("solver.dt must be > 0", field="solver.dt")
     if v["solver"]["n_steps"] < 1:
         raise ValidationError("solver.n_steps must be >= 1", field="solver.n_steps")
+    if not v["solver"]["spectrum_shift"] < 0:
+        raise ValidationError("solver.spectrum_shift must be < 0",
+                              field="solver.spectrum_shift")
     if v["initial"]["kind"] not in ("zero", "rigid", "smooth", "smooth-orthogonal",
                                     "random-orthogonal"):
         raise ValidationError(f"unknown initial.kind {v['initial']['kind']!r}",
@@ -404,7 +407,6 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
     })
     summary = [f"kernel_dim {rep.kernel_dim}",
                "gap %.17g" % rep.gap,
-               "eps0 %.17g" % rep.eps0,
                "max_principal_angle %.17g" % (rep.principal_angles.max()
                                               if len(rep.principal_angles) else 0.0)]
     (cfg.out_dir / "spectrum_summary.txt").write_text("\n".join(summary) + "\n",

@@ -2,9 +2,12 @@
 lemma and the discrete spectrum of the two-phase Stokes operator.
 
 The spectrum is computed from the saddle-point generalized eigenproblem on
-the discretely divergence-free manifold with the eta-weighted mass, using
-a shift-invert Arnoldi iteration at a small negative shift so the exact
-rigid-motion kernel separates cleanly from the first positive cluster.
+the discretely divergence-free manifold with the eta-weighted mass.  With
+the pressure rows negated it is the real symmetric pencil
+K = [[A, -B^T], [-B, 0]], M = diag(M_u, 0), solved by shift-invert Lanczos
+(ARPACK) at a small negative shift, so the exact rigid-motion kernel
+separates cleanly from the first positive cluster.  The shifted solves use
+the unpivoted condensed saddle factor of the time steps.
 """
 
 from __future__ import annotations
@@ -54,12 +57,11 @@ class ConservationReport:
 
 @dataclass
 class SpectrumReport:
-    """Eigenvalues of the discrete Stokes operator sorted by real part."""
+    """Eigenvalues of the discrete Stokes operator, ascending."""
 
     eigenvalues: np.ndarray
     kernel_dim: int
-    gap: float                   # smallest nonzero real part
-    eps0: float                  # decay-rate surrogate derived from the gap
+    gap: float                   # smallest nonzero eigenvalue
     kernel_vectors: np.ndarray = None   # velocity dof columns
     principal_angles: np.ndarray = None
 
@@ -192,49 +194,42 @@ def discrete_spectrum(mesh, params: MaterialParams, count: int,
                       workspace: StokesWorkspace | None = None,
                       sigma: float = -0.1, seed: int = 0,
                       kernel_tol: float = 1e-8) -> SpectrumReport:
-    """Smallest-magnitude eigenpairs of the two-phase Stokes operator on the
-    discretely divergence-free manifold.
+    """Smallest eigenpairs of the two-phase Stokes operator on the
+    discretely divergence-free manifold, eigenvalues ascending.
 
     The kernel consists of the rigid motions; every other eigenvalue of the
-    symmetric pencil has positive real part.
+    symmetric pencil is positive.  The shift ``sigma`` must be negative, so
+    that the shifted velocity block is definite; like the step factor, the
+    shifted factor raises ``SolverError`` where its elimination is unstable.
     """
     ws = workspace or StokesWorkspace(mesh, params)
     basis = ws.rigid_basis()
     if count < len(basis) + 3:
         raise ParameterError(f"count must be at least {len(basis) + 3}")
+    if not sigma < 0:
+        raise ParameterError(f"sigma must be negative, got {sigma}")
     nu, np_ = ws.nu, ws.np_
-    K = sp.bmat([[ws.stiffness, -ws.div.T], [ws.div, None]], format="csc")
+    K = sp.bmat([[ws.stiffness, -ws.div.T], [-ws.div, None]], format="csc")
     M = sp.bmat([[ws.mass, None],
                  [None, sp.csr_matrix((np_, np_))]], format="csc")
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(nu + np_)
+    flip = np.concatenate([np.ones(nu), -np.ones(np_)])
+    v0 = np.random.default_rng(seed).standard_normal(nu + np_)
+    shifted = fem.CondensedSaddle(ws.saddle(-sigma), 2 * mesh.n_nodes, nu)
+    op_inv = spla.LinearOperator(K.shape, matvec=lambda r: shifted.solve(flip * r))
     try:
-        vals, vecs = spla.eigs(K, k=count, M=M, sigma=sigma, which="LM", v0=v0)
+        vals, vecs = spla.eigsh(K, k=count, M=M, sigma=sigma, which="LM", v0=v0,
+                                OPinv=op_inv)
     except Exception as exc:
         raise NumericError(f"spectrum eigen-solver failed: {exc}") from exc
 
-    order = np.argsort(vals.real)
-    vals, vecs = vals[order], vecs[:, order]
     scale = max(np.abs(vals).max(), 1.0)
     kernel_mask = np.abs(vals) <= kernel_tol * scale
     kernel_dim = int(kernel_mask.sum())
-    nonzero = vals[~kernel_mask]
-    gap = float(nonzero.real.min()) if len(nonzero) else np.inf
-
-    kvecs = _real_span(ws, vecs[:nu, kernel_mask])
+    gap = float(vals[~kernel_mask].min()) if kernel_dim < len(vals) else np.inf
+    kvecs = vecs[:nu, kernel_mask]
     angles = _principal_angles(ws, basis, kvecs) if kernel_dim else np.array([])
     return SpectrumReport(eigenvalues=vals, kernel_dim=kernel_dim, gap=gap,
-                          eps0=gap, kernel_vectors=kvecs, principal_angles=angles)
-
-
-def _real_span(ws: StokesWorkspace, cvecs: np.ndarray) -> np.ndarray:
-    """Real basis of the span of eigenvectors that come as real vectors and
-    complex-conjugate pairs: the leading eta-weighted principal directions
-    of their real and imaginary parts (a pair's real parts alone lose one
-    direction of the span)."""
-    parts = np.hstack([cvecs.real, cvecs.imag])
-    _, q = np.linalg.eigh(parts.T @ (ws.mass @ parts))             # ascending
-    return parts @ q[:, ::-1][:, :cvecs.shape[1]]
+                          kernel_vectors=kvecs, principal_angles=angles)
 
 
 def _principal_angles(ws: StokesWorkspace, basis, kvecs: np.ndarray) -> np.ndarray:

@@ -123,6 +123,8 @@ class IterationConfig:
             raise ValidationError("fp_tol must be positive", field="fp_tol")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1", field="max_iters")
+        if self.min_steps < 1:
+            raise ValidationError("min_steps must be >= 1", field="min_steps")
 
 
 # -- time-series extension operators -------------------------------------------

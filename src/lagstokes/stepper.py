@@ -428,7 +428,8 @@ def run_linear(u0: Field, n_steps: int, dt: float, params: MaterialParams,
     ``data`` may be None, a single StokesData reused each step, or a
     callable step_index -> StokesData.  ``bubble0`` carries the initial
     bubble coefficients when restarting from a previous discrete state.
-    The states after the first view the solution stack of the march.
+    The pressures and bubbles of the states after the first view the
+    solution stack of the march; their velocity fields are copies.
     """
     mesh = u0.mesh
     ws = workspace or StokesWorkspace(mesh, params)

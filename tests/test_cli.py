@@ -109,6 +109,39 @@ def test_spectrum_subcommand(tmp_path):
     assert run_subcommand(cfg, "spectrum") == 0
     summary = (cfg.out_dir / "spectrum_summary.txt").read_text()
     assert "kernel_dim 3" in summary
+    assert [line.split()[0] for line in summary.splitlines()] == \
+        ["kernel_dim", "gap", "max_principal_angle"]
+    spectrum = read_csv(cfg.out_dir / "spectrum.csv")
+    assert list(spectrum) == ["real", "imag"] and np.all(spectrum["imag"] == 0.0)
+
+
+def test_spectrum_shift_validated_before_any_solve(tmp_path, capsys):
+    bad = write_cfg(tmp_path, "[solver]\nspectrum_shift = 0.1\n")
+    code = main(["spectrum", "--config", str(bad), "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error-category: validation" in err and "spectrum_shift" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_solve_nonlinear_subcommand(tmp_path):
+    cfg = parse_config(write_cfg(tmp_path, SMALL))
+    cfg.out_dir = tmp_path / "nl"
+    assert run_subcommand(cfg, "solve-nonlinear") == 0
+    assert "energy" in read_csv(cfg.out_dir / "diagnostics.csv")
+    report = read_csv(cfg.out_dir / "iteration_report.csv")
+    assert list(report) == ["iteration", "contraction_factor", "picard_distance"]
+    assert len(report["iteration"]) >= 1
+    manifest = (cfg.out_dir / "manifest.txt").read_text().splitlines()
+    assert "converged True" in manifest
+
+
+def test_min_steps_zero_rejected(tmp_path, capsys):
+    # with min_steps = 0 the horizon halvings could reach a zero-step solve
+    bad = write_cfg(tmp_path, SMALL + "[iteration]\nmin_steps = 0\nkappa_cap = 1e-9\n")
+    code = main(["solve-nonlinear", "--config", str(bad), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "min_steps" in capsys.readouterr().err
 
 
 def test_global_rejects_rigid_datum(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lagstokes.diagnostics import (bootstrap_check, bootstrap_rb, decay_fit,
                                    discrete_spectrum, energy_budget,
@@ -142,8 +143,6 @@ def test_spectrum_kernel_and_positivity(mesh, ws):
 
 
 def test_spectrum_kernel_angles_on_finer_mesh():
-    # on 6x24 the kernel comes back as a complex-conjugate pair plus one
-    # real vector; its real basis must still span all three rigid motions
     rep = discrete_spectrum(build_two_phase_disk(6, 24, 0.5, 1.0), PARAMS, 8)
     assert rep.kernel_dim == 3
     assert rep.principal_angles.max() <= 1e-8
@@ -152,6 +151,40 @@ def test_spectrum_kernel_angles_on_finer_mesh():
 def test_spectrum_count_validated(mesh, ws):
     with pytest.raises(ParameterError):
         discrete_spectrum(mesh, PARAMS, 4, ws)
+
+
+def test_spectrum_shift_must_be_negative(mesh, ws):
+    for sigma in (0.0, 0.1):
+        with pytest.raises(ParameterError):
+            discrete_spectrum(mesh, PARAMS, 8, ws, sigma=sigma)
+
+
+def test_spectrum_matches_dense_pencil(mesh, ws):
+    # oracle: every finite eigenvalue of the unsymmetrized saddle pencil
+    # [[A, -B^T], [B, 0]] x = lam diag(M_u, 0) x by dense QZ
+    rep = discrete_spectrum(mesh, PARAMS, 8, ws)
+    M = np.zeros((ws.nu + ws.np_,) * 2)
+    M[:ws.nu, :ws.nu] = ws.mass.toarray()
+    dense = scipy.linalg.eigvals(ws.saddle(0.0).toarray(), M)
+    # the pressure block of M is zero: its infinite eigenvalues may come
+    # back as huge finite ones instead of inf
+    dense = dense[np.isfinite(dense) & (np.abs(dense) < 1e8)]
+    assert np.abs(dense.imag).max() <= 1e-10 * np.abs(dense).max()
+    dense = np.sort(dense.real)[:len(rep.eigenvalues)]
+    scale = np.abs(dense).max()
+    assert np.abs(rep.eigenvalues - dense).max() <= 1e-10 * scale
+    nonzero = np.abs(dense) > 1e-8 * scale
+    assert np.all(np.abs(rep.eigenvalues[nonzero] / dense[nonzero] - 1.0) <= 1e-10)
+
+
+def test_spectral_gap_converges_at_second_order():
+    # the decay rate of the linearized problem under refinement; the gaps
+    # are 1.046676, 0.958309, 0.937118 (observed order 2.06)
+    gaps = [discrete_spectrum(build_two_phase_disk(n, 4 * n, 0.5, 1.0), PARAMS, 8).gap
+            for n in (3, 6, 12)]
+    order = np.log2((gaps[0] - gaps[1]) / (gaps[1] - gaps[2]))
+    assert order >= 1.8
+    assert 0.93 < gaps[2] < 0.94
 
 
 def test_decay_rate_matches_spectral_gap(mesh, ws):

@@ -461,3 +461,6 @@ def test_iteration_config_validation():
         IterationConfig(gamma0=0.5)
     with pytest.raises(DomainError):
         IterationConfig(p=3.0, q=1.5)     # q <= N
+    with pytest.raises(ValidationError) as err:
+        IterationConfig(min_steps=0)
+    assert err.value.field == "min_steps"
