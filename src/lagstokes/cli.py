@@ -286,10 +286,11 @@ def _write_trajectory(cfg: RunConfig, mesh: RefMesh, traj: Trajectory,
         snapdir = cfg.out_dir / "snapshots"
         snapdir.mkdir(exist_ok=True)
         h = mesh.mesh_hash()
-        for i, s in enumerate(traj.states):
-            if i % every == 0 or i == len(traj.states) - 1:
-                write_field(s.u, snapdir / f"step_{i:06d}_u.fld", s.t, h)
-                write_field(s.q, snapdir / f"step_{i:06d}_q.fld", s.t, h)
+        n = len(traj.states)
+        for i in sorted({*range(0, n, every), n - 1}):
+            s = traj.states[i]
+            write_field(s.u, snapdir / f"step_{i:06d}_u.fld", s.t, h)
+            write_field(s.q, snapdir / f"step_{i:06d}_q.fld", s.t, h)
 
 
 def run_subcommand(cfg: RunConfig, name: str) -> int:
@@ -402,9 +403,7 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
     ws = StokesWorkspace(mesh, params)
     rep = discrete_spectrum(mesh, params, cfg[("solver", "spectrum_count")], ws,
                             sigma=cfg[("solver", "spectrum_shift")], seed=cfg.seed)
-    write_csv(cfg.out_dir / "spectrum.csv", {
-        "real": rep.eigenvalues.real, "imag": rep.eigenvalues.imag,
-    })
+    write_csv(cfg.out_dir / "spectrum.csv", {"eigenvalue": rep.eigenvalues})
     summary = [f"kernel_dim {rep.kernel_dim}",
                "gap %.17g" % rep.gap,
                "max_principal_angle %.17g" % (rep.principal_angles.max()

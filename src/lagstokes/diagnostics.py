@@ -69,18 +69,18 @@ class SpectrumReport:
 def _lagrangian_dissipation(traj: Trajectory, mu_c: np.ndarray) -> np.ndarray:
     """1/2 int mu D_A(u):D_A(u) per step with the stored cofactors,
     evaluated cellwise (exact velocity gradients, centroid cofactor)."""
-    mesh = traj.states[0].u.mesh
+    mesh = traj.mesh
     weights = mesh.areas * mu_c
+    u = traj.u
 
     def block(steps):
-        G = fem.cell_gradients(Field.stack([s.u for s in traj.states[steps]]))
-        A = np.stack(traj.cofactors[steps])                       # (n, nsdof, 2, 2)
-        Ac = A[:, mesh.cell_sdofs].mean(axis=2)                   # centroid values
+        G = fem.cell_gradients(u[steps])
+        Ac = traj.cofactors[steps][:, mesh.cell_sdofs].mean(axis=2)   # centroid values
         Du = np.einsum("ncij,nckj->ncik", G, Ac)
         Du = Du + np.swapaxes(Du, -1, -2)
         return 0.5 * np.einsum("ncij,ncij->nc", Du, Du) @ weights
 
-    return fem.blockwise(block, len(traj.states))
+    return fem.blockwise(block, len(traj.times))
 
 
 def energy_budget(traj: Trajectory, params: MaterialParams,
@@ -93,11 +93,11 @@ def energy_budget(traj: Trajectory, params: MaterialParams,
     the transformed deformation tensor.  Series the solver stored with the
     same workspace are reused.
     """
-    if len(traj.states) < 2:
+    n = len(traj.times)
+    if n < 2:
         raise ParameterError("trajectory must contain at least two states")
-    mesh = traj.states[0].u.mesh
+    mesh = traj.mesh
     ws = workspace or StokesWorkspace(mesh, params)
-    n = len(traj.states)
     dt = traj.dt
     energy = traj.series("energy", ws, ws.kinetic_energy)
     if traj.cofactors is not None:
@@ -121,12 +121,13 @@ def momentum_and_barycenter(traj: Trajectory, params: MaterialParams,
     Momenta the solver stored with the same workspace (``momenta`` or
     ``lagrangian_momenta``) are reused.
     """
-    mesh = traj.states[0].u.mesh
+    mesh = traj.mesh
     ws = workspace or StokesWorkspace(mesh, params)
     basis = ws.rigid_basis()
     eta_c = params.eta_cells(mesh)
     dt = traj.dt
-    u = Field.stack([s.u for s in traj.states])
+    n = len(traj.times)
+    u = traj.u
     vol_flux = _eta_nodal_integral(mesh, eta_c, u.values)
 
     if traj.lagrangian_maps is None:
@@ -135,14 +136,13 @@ def momentum_and_barycenter(traj: Trajectory, params: MaterialParams,
             _eta_nodal_integral(mesh, eta_c, Field.from_nodal(mesh, mesh.nodes).values)[None],
             0.5 * dt * (vol_flux[:-1] + vol_flux[1:])]), axis=0)
     else:
-        X = Field.from_nodal(mesh, np.stack(traj.lagrangian_maps))
+        X = Field.from_nodal(mesh, traj.lagrangian_maps)
         momenta = traj.series("lagrangian_momenta", ws, lambda _vecs: fem.blockwise(
-            lambda steps: _lagrangian_momenta(u[steps], X[steps], basis, eta_c),
-            len(traj.states)))
+            lambda steps: _lagrangian_momenta(u[steps], X[steps], basis, eta_c), n))
         bary = _eta_nodal_integral(mesh, eta_c, X.values)
 
     mom_res = momenta - momenta[0]
-    bary_res = np.zeros(len(traj.states))
+    bary_res = np.zeros(n)
     bary_res[1:] = np.linalg.norm(np.diff(bary, axis=0) / dt - vol_flux[1:], axis=1)
     return ConservationReport(times=traj.times, momenta=momenta, barycenter=bary,
                               residuals={"momentum": np.abs(mom_res).max(axis=1),

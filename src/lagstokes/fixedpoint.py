@@ -22,7 +22,7 @@ from . import fem, kernel
 from .errors import (DomainError, GeometryError, NonContractionError,
                      ParameterError, ValidationError)
 from .mesh import Field
-from .stepper import StokesState, StokesWorkspace, Trajectory, run_linear
+from .stepper import StokesWorkspace, Trajectory, run_linear
 from .transmission import MaterialParams, helmholtz_project, project_out_rigid, rigid_momenta
 
 
@@ -412,11 +412,13 @@ def trajectory_norm(u: Field, q: Field, dt: float, p: float) -> float:
             + _lp(fem.hessian_seminorm(u, g), dt, p) + _lp(fem.field_h1_semi(q), dt, p))
 
 
-def _xi_norms(mesh, u: Field, rhs: NonlinearRHS | None, params, dt, p) -> tuple[float, float]:
+def _xi_norms(mesh, u: Field, rhs: NonlinearRHS | None, params, dt, p,
+              mu_nodal: Field | None = None) -> tuple[float, float]:
     """L_p-in-time of the surface L2 norms of the normal-stress residuals
     Xi = (mu D(u) n) . n - h . n on Gamma and its outer analogue, over the
-    field stack u (steps 0..n); the traction data ``rhs`` cover steps 1..n."""
-    mu_s = params.mu_sdofs(mesh)
+    field stack u (steps 0..n); the traction data ``rhs`` cover steps 1..n
+    and were built with the same viscosity (``mu_nodal`` when given)."""
+    mu_s = params.mu_sdofs(mesh) if mu_nodal is None else mu_nodal.values[:, 0]
     G = fem.recover_gradient(u)
     D = G + np.swapaxes(G, -1, -2)
     gn, on = mesh.gamma_nodes, mesh.gamma_plus_nodes
@@ -525,9 +527,7 @@ def picard_solve_local(v0: Field, cfg: IterationConfig, params: MaterialParams,
     n_hor = max(int(round(cfg.horizon / cfg.dt)), 1)
     n_cap = max(min(n_hor, int(round(1.0 / cfg.dt))), cfg.min_steps)
     lin = run_linear(v0, n_cap, cfg.dt, params, workspace=ws, bubble0=bubble0)
-    lin_u = Field.stack([s.u for s in lin.states])
-    lin_q = Field.stack([s.q for s in lin.states])
-    lin_vecs = lin.uvecs
+    lin_u, lin_q, lin_vecs = lin.u, lin.q, lin.uvecs
 
     @cache
     def lin_norm(n: int) -> float:
@@ -638,16 +638,14 @@ def _picard_attempt(lin_u, lin_q, lin_vecs, scale, cfg, params, ws, C0, X0, t0, 
     maps = _lagrangian_maps(mesh, u, dt, X0)
     C_end, A_u, kappa_max, rhs_u = _iterate_data(mesh, u, q, maps if f_ext is not None
                                                  else None, **terms)
-    states = [StokesState.from_uvec(mesh, u_vecs[m], q[m], t0 + m * dt)
-              for m in range(n_steps + 1)]
-    traj = Trajectory(times=t0 + dt * np.arange(n_steps + 1), states=states,
+    traj = Trajectory(times=t0 + dt * np.arange(n_steps + 1), uvecs=u_vecs, q=q,
                       diagnostics={"energy": ws.kinetic_energy(u_vecs)},
-                      cofactors=list(A_u.mats), lagrangian_maps=list(maps),
-                      meta={"displacement": C_end}, uvecs=u_vecs, workspace=ws)
+                      cofactors=A_u.mats, lagrangian_maps=maps,
+                      meta={"displacement": C_end}, workspace=ws)
 
     residual = _substituted_residual(ws, dt, u_vecs, q, rhs_u)
     ball = trajectory_norm(U, Q, dt, p)
-    xi, xio = _xi_norms(mesh, U, rhs, params, dt, p)
+    xi, xio = _xi_norms(mesh, U, rhs, params, dt, p, mu_nodal)
     report = IterationReport(converged=converged, iterations=len(distances),
                              contraction_factors=factors, distances=distances,
                              horizon=n_steps * dt, n_steps=n_steps,
@@ -716,9 +714,9 @@ def stability_probe(v0_a: Field, v0_b: Field, cfg: IterationConfig,
     ws = workspace or StokesWorkspace(v0_a.mesh, params)
     traj_a, rep_a = picard_solve_local(v0_a, cfg, params, workspace=ws)
     traj_b, rep_b = picard_solve_local(v0_b, cfg, params, workspace=ws)
-    n = min(len(traj_a.states), len(traj_b.states))
-    du = Field.stack([s.u for s in traj_b.states[:n]]) - Field.stack([s.u for s in traj_a.states[:n]])
-    dq = Field.stack([s.q for s in traj_b.states[:n]]) - Field.stack([s.q for s in traj_a.states[:n]])
+    n = min(len(traj_a.times), len(traj_b.times))
+    du = traj_b.u[:n] - traj_a.u[:n]
+    dq = traj_b.q[:n] - traj_a.q[:n]
     dist = trajectory_norm(du, dq, cfg.dt, cfg.p)
     d0 = fem.field_h1(v0_b - v0_a)
     ratio = dist / d0 if d0 > 0 else 0.0
@@ -795,10 +793,12 @@ def global_continue(v0: Field, cfg: IterationConfig, params: MaterialParams,
     # at its final step, the horizon rounded to the time grid
     n_total = max(int(round(cfg.horizon / cfg.dt)), 1)
     lin = run_linear(v0, n_total, cfg.dt, params, workspace=ws)
-    x_functional = _XFunctional(lin.states, cfg, eps0)
+    x_functional = _XFunctional(lin, cfg, eps0)
 
     bound = 2.0 * cfg.a_cal * init_norm
-    states, vec_parts = None, []
+    # (velocity dofs, pressures, cofactors, maps) of each segment; a later
+    # segment drops its first row, the previous segment's last state
+    parts = []
     C_state, X_state = None, None
     x_times, x_vals, segments = [], [], []
     exceeded = False
@@ -806,7 +806,6 @@ def global_continue(v0: Field, cfg: IterationConfig, params: MaterialParams,
     n_done = 0
     current = v0
     current_bubble = None
-    all_cof, all_maps = None, None
     while n_done < n_total and not exceeded:
         seg_cfg = replace(cfg, horizon=(n_total - n_done) * cfg.dt)
         traj, rep = picard_solve_local(current, seg_cfg, params, workspace=ws,
@@ -817,34 +816,27 @@ def global_continue(v0: Field, cfg: IterationConfig, params: MaterialParams,
                 f"segment at t = {t:.4g} failed to converge "
                 f"(last factor {rep.contraction_factors[-1] if rep.contraction_factors else float('nan'):.3g})")
         segments.append(rep)
-        vec_parts.append(traj.uvecs if states is None else traj.uvecs[1:])
-        if states is None:
-            states = list(traj.states)
-            all_cof = list(traj.cofactors)
-            all_maps = list(traj.lagrangian_maps)
-        else:
-            states.extend(traj.states[1:])
-            all_cof.extend(traj.cofactors[1:])
-            all_maps.extend(traj.lagrangian_maps[1:])
+        first = 1 if parts else 0
+        parts.append((traj.uvecs[first:], traj.q.values[first:], traj.cofactors[first:],
+                      traj.lagrangian_maps[first:]))
         n_done += rep.n_steps
         C_state = traj.meta["displacement"]
         X_state = traj.lagrangian_maps[-1]
         t = traj.times[-1]
-        current = traj.states[-1].u
-        current_bubble = traj.states[-1].bubble
+        last = traj.states[-1]
+        current, current_bubble = last.u, last.bubble
 
-        x_now = x_functional(states)
+        x_now = x_functional(traj.u, traj.q)
         x_times.append(t)
         x_vals.append(x_now)
         if x_now > bound:
             exceeded = True
 
-    times = cfg.dt * np.arange(len(states))
-    vecs = np.concatenate(vec_parts)
-    full = Trajectory(times=times, states=states,
+    vecs, q, cofactors, maps = (np.concatenate(stacks) for stacks in zip(*parts))
+    full = Trajectory(times=cfg.dt * np.arange(n_done + 1), uvecs=vecs, q=Field(mesh, 1, q),
                       diagnostics={"energy": ws.kinetic_energy(vecs)},
-                      cofactors=all_cof, lagrangian_maps=all_maps,
-                      meta={"eps0": eps0, "bound": bound}, uvecs=vecs, workspace=ws)
+                      cofactors=cofactors, lagrangian_maps=maps,
+                      meta={"eps0": eps0, "bound": bound}, workspace=ws)
 
     from .diagnostics import decay_fit, momentum_and_barycenter
     vel = np.sqrt(np.maximum(2.0 * full.diagnostics["energy"], 1e-300))
@@ -865,24 +857,24 @@ def global_continue(v0: Field, cfg: IterationConfig, params: MaterialParams,
 
 
 class _XFunctional:
-    """X(T) of the delivered states against the linear reference states.
-    Each call computes only the terms of the steps delivered since the
-    previous call and keeps them, so the sums run over the same per-step
-    terms as a full recomputation would."""
+    """X(T) of the delivered states against the linear reference trajectory.
+    Each call takes the velocity and pressure stacks of one new segment,
+    whose first row is the last step of the previous one, computes only the
+    terms of its steps and keeps them, so the sums run over the same
+    per-step terms as a full recomputation would."""
 
-    def __init__(self, lin_states, cfg: IterationConfig, eps0: float):
-        self.lin_u = Field.stack([s.u for s in lin_states])
-        self.lin_q = Field.stack([s.q for s in lin_states])
+    def __init__(self, lin: Trajectory, cfg: IterationConfig, eps0: float):
+        self.lin_u, self.lin_q = lin.u, lin.q
         self.dt, self.p, self.eps0 = cfg.dt, cfg.p, eps0
         self.terms, self.pterms = [], []
 
-    def __call__(self, states) -> float:
+    def __call__(self, u: Field, q: Field) -> float:
         dt = self.dt
-        n = min(len(states), len(self.lin_u.values))
         m0 = len(self.terms) + 1                 # first step without its terms
+        n = min(m0 - 1 + len(u.values), len(self.lin_u.values))
         if n > m0:
-            w = Field.stack([s.u for s in states[m0 - 1:n]]) - self.lin_u[m0 - 1:n]
-            P = Field.stack([s.q for s in states[m0:n]]) - self.lin_q[m0:n]
+            w = u[:n - m0 + 1] - self.lin_u[m0 - 1:n]
+            P = q[1:n - m0 + 1] - self.lin_q[m0:n]
             wn = w[1:]
             g = fem.cell_gradients(wn)
             s = (fem.field_l2(wn - w[:-1]) / dt + fem.field_l2(wn)

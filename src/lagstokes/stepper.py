@@ -31,6 +31,7 @@ pencil.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -72,11 +73,6 @@ class StokesState:
     def from_uvec(cls, mesh: RefMesh, vec: np.ndarray, q: Field, t: float) -> "StokesState":
         return cls(fem.uvec_to_field(mesh, vec), q, t,
                    bubble=vec[2 * mesh.n_nodes:].copy())
-
-
-def uvec_stack(states) -> np.ndarray:
-    """(n_states, nu) velocity dof vectors of a sequence of states."""
-    return np.stack([s.uvec() for s in states])
 
 
 @dataclass
@@ -389,35 +385,70 @@ def step_linear(state: StokesState, data: StokesData, dt: float,
 
 @dataclass
 class Trajectory:
-    """Uniform-dt sequence of states with scalar diagnostics, plus the
-    optional Lagrangian companions filled by the nonlinear path.
+    """Uniform-dt sequence of states, held as time stacks, with scalar
+    diagnostics and the Lagrangian companions filled by the nonlinear path.
 
-    ``uvecs`` is the (n_states, nu) velocity dof stack of the states, and
-    ``workspace`` the one whose operators computed ``diagnostics``; the
-    budgets in :mod:`lagstokes.diagnostics` reuse both when they are set."""
+    ``uvecs`` is the (n_states, nu) velocity dof stack and ``q`` the
+    pressure field stack; ``cofactors`` (n_states, nsdof, 2, 2) holds the
+    nodal cofactor A and ``lagrangian_maps`` (n_states, n_nodes, 2) the
+    nodal positions X(xi, t) of each state, or None on the linear path.
+    ``workspace`` is the one whose operators computed ``diagnostics``; the
+    budgets in :mod:`lagstokes.diagnostics` reuse its series when they are
+    given the same workspace.  ``u`` builds the velocity field stack on
+    each access, and ``states`` builds a :class:`StokesState` only for the
+    index or slice asked for.
+    """
 
     times: np.ndarray
-    states: list
+    uvecs: np.ndarray
+    q: Field
     diagnostics: dict = dc_field(default_factory=dict)
-    cofactors: list | None = None         # nodal A per step
-    lagrangian_maps: list | None = None   # nodal X(xi, t) per step
+    cofactors: np.ndarray | None = None
+    lagrangian_maps: np.ndarray | None = None
     meta: dict = dc_field(default_factory=dict)
-    uvecs: np.ndarray | None = None
     workspace: StokesWorkspace | None = None
 
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
 
-    def velocity_stack(self) -> np.ndarray:
-        return self.uvecs if self.uvecs is not None else uvec_stack(self.states)
+    @property
+    def mesh(self) -> RefMesh:
+        return self.q.mesh
+
+    @property
+    def u(self) -> Field:
+        """Velocity field stack, built from ``uvecs``."""
+        return fem.uvec_to_field(self.mesh, self.uvecs)
+
+    @property
+    def states(self) -> "_StateView":
+        return _StateView(self)
 
     def series(self, name: str, workspace: StokesWorkspace, compute) -> np.ndarray:
         """The stored diagnostic series ``name`` if it was computed with the
-        operators of ``workspace``, else compute(velocity stack)."""
+        operators of ``workspace``, else compute(velocity dof stack)."""
         if workspace is self.workspace and name in self.diagnostics:
             return self.diagnostics[name]
-        return compute(self.velocity_stack())
+        return compute(self.uvecs)
+
+
+class _StateView(Sequence):
+    """Read-only sequence of a trajectory's states; indexing builds the
+    states asked for from the stacks, and ``len`` builds none."""
+
+    def __init__(self, traj: Trajectory):
+        self._traj = traj
+
+    def __len__(self) -> int:
+        return len(self._traj.times)
+
+    def __getitem__(self, m):
+        if isinstance(m, slice):
+            return [self[i] for i in range(*m.indices(len(self)))]
+        traj = self._traj
+        m = range(len(self))[m]                # a negative index counts from the end
+        return StokesState.from_uvec(traj.mesh, traj.uvecs[m], traj.q[m], float(traj.times[m]))
 
 
 def run_linear(u0: Field, n_steps: int, dt: float, params: MaterialParams,
@@ -428,13 +459,12 @@ def run_linear(u0: Field, n_steps: int, dt: float, params: MaterialParams,
     ``data`` may be None, a single StokesData reused each step, or a
     callable step_index -> StokesData.  ``bubble0`` carries the initial
     bubble coefficients when restarting from a previous discrete state.
-    The pressures and bubbles of the states after the first view the
-    solution stack of the march; their velocity fields are copies.
+    The trajectory's velocity dof and pressure stacks view the solution
+    stack of the march; state 0 holds u0's dof vector and zero pressure.
     """
     mesh = u0.mesh
     ws = workspace or StokesWorkspace(mesh, params)
-    nu, nn = ws.nu, mesh.n_nodes
-    state0 = StokesState(u0, Field.zeros(mesh, 1), 0.0, bubble=bubble0)
+    nu = ws.nu
     if data is None:
         load = None
     elif callable(data):
@@ -442,18 +472,15 @@ def run_linear(u0: Field, n_steps: int, dt: float, params: MaterialParams,
     else:
         fixed = ws.step_load(data)
         load = lambda m: fixed                     # noqa: E731
-    xs = ws.march(dt, np.concatenate([state0.uvec(), np.zeros(ws.np_)]), n_steps, load)
-    times = dt * np.arange(n_steps + 1)
+    x0 = np.concatenate([StokesState(u0, Field.zeros(mesh, 1), 0.0, bubble=bubble0).uvec(),
+                         np.zeros(ws.np_)])
+    xs = ws.march(dt, x0, n_steps, load)
     vecs = xs[:, :nu]
-    states = [state0] + [
-        StokesState(fem.uvec_to_field(mesh, vecs[m]), Field(mesh, 1, xs[m, nu:, None]),
-                    float(times[m]), bubble=vecs[m, 2 * nn:])
-        for m in range(1, n_steps + 1)]
-    return Trajectory(times, states,
+    return Trajectory(dt * np.arange(n_steps + 1), vecs, Field(mesh, 1, xs[:, nu:, None]),
                       diagnostics={"energy": ws.kinetic_energy(vecs),
                                    "dissipation": ws.dissipation(vecs),
                                    "momenta": ws.momentum(vecs)},
-                      uvecs=vecs, workspace=ws)
+                      workspace=ws)
 
 
 def solve_resolvent(lam: complex, f: Field, params: MaterialParams,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lagstokes import cli
 from lagstokes.cli import _SCHEMA, main, parse_config, run_subcommand
 from lagstokes.errors import ConfigParseError, ValidationError
 from lagstokes.mesh import build_two_phase_disk
@@ -112,7 +113,7 @@ def test_spectrum_subcommand(tmp_path):
     assert [line.split()[0] for line in summary.splitlines()] == \
         ["kernel_dim", "gap", "max_principal_angle"]
     spectrum = read_csv(cfg.out_dir / "spectrum.csv")
-    assert list(spectrum) == ["real", "imag"] and np.all(spectrum["imag"] == 0.0)
+    assert list(spectrum) == ["eigenvalue"] and np.all(np.diff(spectrum["eigenvalue"]) >= 0.0)
 
 
 def test_spectrum_shift_validated_before_any_solve(tmp_path, capsys):
@@ -212,16 +213,28 @@ def test_csv_roundtrip(tmp_path):
     assert np.array_equal(back["value"], cols["value"])
 
 
-def test_snapshot_written_when_requested(tmp_path):
-    cfg = parse_config(write_cfg(tmp_path, SMALL + "[output]\nsnapshot_every = 10\n"))
+def test_snapshot_written_when_requested(tmp_path, monkeypatch):
+    # every 10th step and the last one, which is not a multiple of 10
+    trajs, run_linear = [], cli.run_linear
+
+    def recording_run_linear(*args, **kwargs):
+        trajs.append(run_linear(*args, **kwargs))
+        return trajs[-1]
+
+    text = SMALL.replace("n_steps = 20", "n_steps = 25") + "[output]\nsnapshot_every = 10\n"
+    cfg = parse_config(write_cfg(tmp_path, text))
     cfg.out_dir = tmp_path / "snaps"
-    run_subcommand(cfg, "solve-linear")
+    monkeypatch.setattr(cli, "run_linear", recording_run_linear)
+    assert run_subcommand(cfg, "solve-linear") == 0
     snapdir = cfg.out_dir / "snapshots"
     files = sorted(p.name for p in snapdir.iterdir())
-    assert "step_000000_u.fld" in files and "step_000020_q.fld" in files
+    assert files == [f"step_{i:06d}_{v}.fld" for i in (0, 10, 20, 25) for v in "qu"]
     mesh = cfg.mesh()
-    fld, t = read_field(mesh, snapdir / "step_000020_u.fld")
+    _, t = read_field(mesh, snapdir / "step_000020_u.fld")
     assert t == pytest.approx(1.0)
+    last = trajs[0].states[-1]
+    fld, t = read_field(mesh, snapdir / "step_000025_u.fld")
+    assert np.array_equal(fld.values, last.u.values) and t == last.t
 
 
 def test_solve_global_writes_segment_record(tmp_path):

@@ -349,6 +349,20 @@ def test_picard_general_local_path(mesh, ws):
         assert np.abs(s1.u.values - s2.u.values).max() <= 1e-12
 
 
+def test_picard_xi_norms_use_the_tabulated_viscosity(mesh):
+    # a tabulated viscosity that equals another MaterialParams' piecewise
+    # constants gives that solve, and so its Xi residual norms
+    cfg = IterationConfig(dt=0.05, horizon=0.2)
+    doubled = MaterialParams(2.0, 1.0, 0.6, 0.2)
+    v0 = smooth_datum(mesh, StokesWorkspace(mesh, doubled), 0.02)
+    _, ref = picard_solve_local(v0, cfg, doubled)
+    mu_nodal = Field(mesh, 1, doubled.mu_sdofs(mesh)[:, None].astype(float))
+    _, rep = picard_solve_local(v0, cfg, PARAMS, mu_nodal=mu_nodal)
+    assert rep.ball_norm == pytest.approx(ref.ball_norm, rel=1e-10)
+    assert rep.xi_norm == pytest.approx(ref.xi_norm, rel=1e-10)
+    assert rep.xi_outer_norm == pytest.approx(ref.xi_outer_norm, rel=1e-10)
+
+
 # -- global continuation --------------------------------------------------------------
 
 def test_global_zero_datum(mesh, ws):

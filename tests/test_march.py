@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from lagstokes import fem
 from lagstokes.fixedpoint import NonlinearRHS, _momentum_rhs, _solve_correction
 from lagstokes.mesh import Field, build_two_phase_disk
-from lagstokes.stepper import (StokesData, StokesState, StokesWorkspace, run_linear,
-                               step_linear, uvec_stack)
+from lagstokes.stepper import StokesData, StokesState, StokesWorkspace, run_linear, step_linear
 from lagstokes.transmission import MaterialParams
 
 PARAMS = MaterialParams(2.0, 1.0, 0.3, 0.1)
@@ -167,7 +166,7 @@ def test_run_linear_with_data_matches_step_chain(ws, kind):
         assert rel_err(traj.states[m + 1].q.values, state.q.values) <= 1e-13
     # the trajectory's velocity stack is its states' and its diagnostics are
     # those of the stack
-    vecs = uvec_stack(traj.states)
-    assert np.array_equal(traj.velocity_stack(), vecs)
+    vecs = np.stack([s.uvec() for s in traj.states])
+    assert np.array_equal(traj.uvecs, vecs)
     assert np.array_equal(traj.diagnostics["energy"], ws.kinetic_energy(vecs))
     assert np.array_equal(traj.diagnostics["momenta"], ws.momentum(vecs))

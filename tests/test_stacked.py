@@ -1,18 +1,19 @@
 """The time-stacked nonlinear path and trajectory diagnostics against
 step-by-step single-time calls, a property test of the stacked cofactor
-series against its closed-form oracle, and run-to-run determinism of the
-global continuation."""
+series against its closed-form oracle, run-to-run determinism of the
+global continuation, and the states of a stacked trajectory against their
+per-state construction."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lagstokes import fem, kernel, snapshots
+from lagstokes import fem, fixedpoint, kernel, snapshots
 from lagstokes.diagnostics import energy_budget, momentum_and_barycenter
 from lagstokes.fixedpoint import IterationConfig, compute_nonlinear_terms, global_continue
 from lagstokes.kernel import DisplacementGradient, _spectral_norms
 from lagstokes.mesh import Field, build_two_phase_disk
-from lagstokes.stepper import StokesWorkspace, run_linear
+from lagstokes.stepper import StokesState, StokesWorkspace, run_linear
 from lagstokes.transmission import MaterialParams, project_out_rigid
 
 PARAMS = MaterialParams(2.0, 1.0, 0.3, 0.1)
@@ -222,3 +223,115 @@ def test_budgets_from_stored_series_equal_recomputed(path):
         assert list(reused) == list(recomputed)
         for name in reused:
             assert np.array_equal(reused[name], recomputed[name]), name
+
+
+# -- the states of a stacked trajectory --------------------------------------------
+
+def _swirl(mesh, ws):
+    u0 = fem.interpolate(mesh, lambda x, y: 0.02 * (1.1 - x * x - y * y) * np.array([y, -x]), 2)
+    return project_out_rigid(u0, ws.rigid_basis(), PARAMS)
+
+
+def _assert_same_state(got, ref, t=None):
+    assert np.array_equal(got.u.values, ref.u.values)
+    assert np.array_equal(got.q.values, ref.q.values)
+    assert np.array_equal(got.bubble, ref.bubble)
+    assert got.t == (ref.t if t is None else t)
+
+
+def _assert_states_match(traj, oracle, times):
+    """Every state, the last one by a negative index, and a slice of
+    ``traj.states`` equal the per-state ``oracle``; each state's time is
+    ``times[m]``."""
+    view = traj.states
+    assert len(view) == len(oracle) == len(times)
+    for m in range(len(oracle)):
+        _assert_same_state(view[m], oracle[m], times[m])
+    _assert_same_state(view[-1], oracle[-1], times[-1])
+    picked = slice(2, 9, 3)
+    assert len(view[picked]) == len(oracle[picked]) == 3
+    for got, ref, t in zip(view[picked], oracle[picked], times[picked]):
+        _assert_same_state(got, ref, t)
+
+
+def test_linear_states_equal_per_state_construction():
+    mesh = build_two_phase_disk(3, 12, 0.5, 1.0)
+    ws = StokesWorkspace(mesh, PARAMS)
+    u0 = _swirl(mesh, ws)
+    n_steps, nu, nn = 3 * fem.STACK_BLOCK, ws.nu, mesh.n_nodes
+    bubble0 = 1e-3 * np.random.default_rng(3).standard_normal(nu - 2 * nn)
+    traj = run_linear(u0, n_steps, DT, PARAMS, workspace=ws, bubble0=bubble0)
+    # the former run_linear: state 0 from the datum, the others built from
+    # the rows of the march's solution stack
+    state0 = StokesState(u0, Field.zeros(mesh, 1), 0.0, bubble=bubble0)
+    xs = ws.march(DT, np.concatenate([state0.uvec(), np.zeros(ws.np_)]), n_steps)
+    times = DT * np.arange(n_steps + 1)
+    oracle = [state0] + [
+        StokesState(fem.uvec_to_field(mesh, xs[m, :nu]), Field(mesh, 1, xs[m, nu:, None]),
+                    float(times[m]), bubble=xs[m, 2 * nn:nu])
+        for m in range(1, n_steps + 1)]
+    assert np.array_equal(traj.times, times)
+    _assert_states_match(traj, oracle, times)
+
+
+def test_global_states_equal_joined_segment_states(monkeypatch):
+    mesh = build_two_phase_disk(3, 12, 0.5, 1.0)
+    ws = StokesWorkspace(mesh, PARAMS)
+    segments, picard_solve_local = [], fixedpoint.picard_solve_local
+
+    def recording_solve(*args, **kwargs):
+        seg, report = picard_solve_local(*args, **kwargs)
+        segments.append(seg)
+        return seg, report
+
+    monkeypatch.setattr(fixedpoint, "picard_solve_local", recording_solve)
+    traj, _ = global_continue(_swirl(mesh, ws), IterationConfig(dt=DT, horizon=1.5, smallness=10.0),
+                              PARAMS, workspace=ws)
+    assert len(segments) > 1
+    # the former global_continue: each segment's per-state list, as its
+    # Picard solve built it, joined without each later segment's first state
+    oracle = []
+    for seg in segments:
+        t0 = seg.times[0]
+        seg_states = [StokesState.from_uvec(mesh, seg.uvecs[m], seg.q[m], t0 + m * DT)
+                      for m in range(len(seg.times))]
+        oracle.extend(seg_states if not oracle else seg_states[1:])
+    assert len(traj.times) == round(1.5 / DT) + 1
+    assert np.array_equal(traj.cofactors,
+                          np.concatenate([segments[0].cofactors]
+                                         + [seg.cofactors[1:] for seg in segments[1:]]))
+    assert np.array_equal(traj.lagrangian_maps,
+                          np.concatenate([segments[0].lagrangian_maps]
+                                         + [seg.lagrangian_maps[1:] for seg in segments[1:]]))
+    # a joined state's time is now the trajectory's own; the segment's
+    # t0 + m dt it carried before may differ from it in the last bit
+    assert np.allclose([s.t for s in oracle], traj.times, rtol=1e-15, atol=0.0)
+    _assert_states_match(traj, oracle, traj.times)
+
+
+@pytest.mark.parametrize("path", ["linear", "lagrangian"])
+def test_len_mesh_and_budgets_build_no_state(path, monkeypatch):
+    mesh = build_two_phase_disk(3, 12, 0.5, 1.0)
+    ws = StokesWorkspace(mesh, PARAMS)
+    u0 = _swirl(mesh, ws)
+    if path == "linear":
+        traj = run_linear(u0, 30, DT, PARAMS, workspace=ws)
+    else:
+        traj, _ = global_continue(u0, IterationConfig(dt=DT, horizon=1.5, smallness=10.0),
+                                  PARAMS, workspace=ws)
+    built = []
+    from_uvec = StokesState.from_uvec
+
+    def counting(cls, *args, **kwargs):
+        built.append(args[-1])
+        return from_uvec(*args, **kwargs)
+
+    monkeypatch.setattr(StokesState, "from_uvec", classmethod(counting))
+    assert len(traj.states) == len(traj.times) and traj.mesh is mesh
+    for workspace in (ws, StokesWorkspace(mesh, PARAMS)):
+        energy_budget(traj, PARAMS, workspace)
+        momentum_and_barycenter(traj, PARAMS, workspace)
+    assert built == []
+    traj.states[3]
+    traj.states[1:4]
+    assert built == [traj.times[m] for m in (3, 1, 2, 3)]
