@@ -201,6 +201,9 @@ def _validate(cfg: RunConfig) -> None:
         raise ValidationError("solver.dt must be > 0", field="solver.dt")
     if v["solver"]["n_steps"] < 1:
         raise ValidationError("solver.n_steps must be >= 1", field="solver.n_steps")
+    if v["output"]["snapshot_every"] < 0:
+        raise ValidationError("output.snapshot_every must be >= 0",
+                              field="output.snapshot_every")
     if not v["solver"]["spectrum_shift"] < 0:
         raise ValidationError("solver.spectrum_shift must be < 0",
                               field="solver.spectrum_shift")
@@ -286,8 +289,9 @@ def _write_trajectory(cfg: RunConfig, mesh: RefMesh, traj: Trajectory,
         snapdir = cfg.out_dir / "snapshots"
         snapdir.mkdir(exist_ok=True)
         h = mesh.mesh_hash()
-        n = len(traj.states)
-        for i in sorted({*range(0, n, every), n - 1}):
+        n = len(traj.times)
+        held = range(n) if traj.steps is None else traj.steps
+        for i in (i for i in held if i % every == 0 or i == n - 1):
             s = traj.states[i]
             write_field(s.u, snapdir / f"step_{i:06d}_u.fld", s.t, h)
             write_field(s.q, snapdir / f"step_{i:06d}_q.fld", s.t, h)
@@ -316,11 +320,13 @@ def _cmd_solve_linear(cfg: RunConfig) -> int:
     params = cfg.material()
     ws = StokesWorkspace(mesh, params)
     u0 = build_initial(cfg, mesh, params, ws)
+    # hold only the states the snapshots write
     traj = run_linear(u0, cfg[("solver", "n_steps")], cfg[("solver", "dt")],
-                      params, workspace=ws)
+                      params, workspace=ws,
+                      keep_every=cfg[("output", "snapshot_every")] or None)
     _write_trajectory(cfg, mesh, traj, params, ws)
     _write_manifest(cfg, {"subcommand": "solve-linear", "mesh_hash": mesh.mesh_hash(),
-                          "n_states": len(traj.states)})
+                          "n_states": len(traj.times)})
     return 0
 
 

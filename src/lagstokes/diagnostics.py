@@ -67,8 +67,9 @@ class SpectrumReport:
 
 
 def _lagrangian_dissipation(traj: Trajectory, mu_c: np.ndarray) -> np.ndarray:
-    """1/2 int mu D_A(u):D_A(u) per step with the stored cofactors,
-    evaluated cellwise (exact velocity gradients, centroid cofactor)."""
+    """1/2 int mu D_A(u):D_A(u) per step with the stored cofactors and the
+    cellwise viscosity mu_c, evaluated cellwise (exact velocity gradients,
+    centroid cofactor)."""
     mesh = traj.mesh
     weights = mesh.areas * mu_c
     u = traj.u
@@ -90,7 +91,8 @@ def energy_budget(traj: Trajectory, params: MaterialParams,
     identity d/dt (1/2 eta|u|^2) + 1/2 (mu D(u), D(u)) = work.
 
     With a Lagrangian trajectory (cofactors present) the dissipation uses
-    the transformed deformation tensor.  Series the solver stored with the
+    the transformed deformation tensor and the viscosity the trajectory was
+    solved with, that of its workspace.  Series the solver stored with the
     same workspace are reused.
     """
     n = len(traj.times)
@@ -101,7 +103,9 @@ def energy_budget(traj: Trajectory, params: MaterialParams,
     dt = traj.dt
     energy = traj.series("energy", ws, ws.kinetic_energy)
     if traj.cofactors is not None:
-        dissip = _lagrangian_dissipation(traj, params.mu_cells(mesh))
+        solved = traj.workspace
+        dissip = _lagrangian_dissipation(
+            traj, params.mu_cells(mesh) if solved is None else solved.mu_cells)
     else:
         dissip = traj.series("dissipation", ws, ws.dissipation)
     w = np.zeros(n) if work is None else np.asarray(work, dtype=float)
@@ -118,28 +122,29 @@ def momentum_and_barycenter(traj: Trajectory, params: MaterialParams,
     Linear trajectories use the fixed-domain momenta (eta u, p_alpha); a
     Lagrangian trajectory evaluates the pulled-back momenta
     int eta u . p_alpha(X(xi,t)) dxi and the barycenter int eta X dxi.
-    Momenta the solver stored with the same workspace (``momenta`` or
-    ``lagrangian_momenta``) are reused.
+    The series the solver stored with the same workspace (``momenta`` or
+    ``lagrangian_momenta``, and the eta-weighted ``flux``) are reused, so a
+    linear trajectory's budgets need none of its states.
     """
     mesh = traj.mesh
     ws = workspace or StokesWorkspace(mesh, params)
-    basis = ws.rigid_basis()
-    eta_c = params.eta_cells(mesh)
+    eta_c = ws.eta_cells
     dt = traj.dt
     n = len(traj.times)
-    u = traj.u
-    vol_flux = _eta_nodal_integral(mesh, eta_c, u.values)
+    vol_flux = traj.series("flux", ws, ws.flux)
 
     if traj.lagrangian_maps is None:
-        momenta = traj.series("momenta", ws, lambda vecs: ws.momentum(vecs, basis))
+        momenta = traj.series("momenta", ws, ws.momentum)
         bary = np.cumsum(np.concatenate([
-            _eta_nodal_integral(mesh, eta_c, Field.from_nodal(mesh, mesh.nodes).values)[None],
+            fem.weighted_integral(mesh, eta_c, Field.from_nodal(mesh, mesh.nodes).values)[None],
             0.5 * dt * (vol_flux[:-1] + vol_flux[1:])]), axis=0)
     else:
         X = Field.from_nodal(mesh, traj.lagrangian_maps)
-        momenta = traj.series("lagrangian_momenta", ws, lambda _vecs: fem.blockwise(
-            lambda steps: _lagrangian_momenta(u[steps], X[steps], basis, eta_c), n))
-        bary = _eta_nodal_integral(mesh, eta_c, X.values)
+        basis = ws.rigid_basis()
+        momenta = traj.series("lagrangian_momenta", ws, lambda vecs: fem.blockwise(
+            lambda steps: _lagrangian_momenta(fem.uvec_to_field(mesh, vecs[steps]), X[steps],
+                                              basis, eta_c), n))
+        bary = fem.weighted_integral(mesh, eta_c, X.values)
 
     mom_res = momenta - momenta[0]
     bary_res = np.zeros(n)
@@ -147,13 +152,6 @@ def momentum_and_barycenter(traj: Trajectory, params: MaterialParams,
     return ConservationReport(times=traj.times, momenta=momenta, barycenter=bary,
                               residuals={"momentum": np.abs(mom_res).max(axis=1),
                                          "barycenter": bary_res})
-
-
-def _eta_nodal_integral(mesh, eta_c: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """int eta f of P1 scalar-dof values ([n_steps,] nsdof, ncomp)."""
-    weights = np.bincount(mesh.cell_sdofs.ravel(), minlength=mesh.nsdof,
-                          weights=np.repeat(mesh.areas * eta_c / 3.0, 3))
-    return np.einsum("s,...sv->...v", weights, values)
 
 
 def _lagrangian_momenta(u: Field, X: Field, basis, eta_c: np.ndarray) -> np.ndarray:

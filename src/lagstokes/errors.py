@@ -25,6 +25,13 @@ class FacetLookupError(LagStokesError, KeyError):
     category = "lookup"
 
 
+class StateLookupError(LagStokesError, LookupError):
+    """A trajectory state, or a series that needs every state, which the
+    trajectory does not hold."""
+
+    category = "lookup"
+
+
 class DomainError(LagStokesError, ValueError):
     """Input outside the mathematical domain of the operation."""
 

@@ -300,12 +300,47 @@ def blockwise(fn, n_steps: int) -> np.ndarray:
                            for i in range(0, n_steps, STACK_BLOCK)])
 
 
+def stream_blocks(n_states: int) -> list[tuple[int, int]]:
+    """(start, stop) of the blocks in which a stack of n_states rows is
+    streamed: the slices of :func:`blockwise`, with a lone last row joined
+    to the slice before it, because the roundoff of a BLAS product of one
+    row can differ from that of the same row among several."""
+    stops = [*range(STACK_BLOCK, n_states - 1, STACK_BLOCK), n_states]
+    return list(zip([0, *stops[:-1]], stops))
+
+
+# rows of a stack that go through a quadratic form's operator at once
+FORM_ROWS = 5
+
+
 def quadratic_form(op: sp.spmatrix, vecs: np.ndarray):
-    """vec . (op vec) for a vector, or one value per row of a stack."""
+    """vec . (op vec) for a vector, or one value per row of a stack.
+
+    A stack goes through ``op`` in the slices of :func:`blockwise`, each cut
+    into nearly equal runs of at most FORM_ROWS rows, so that the products
+    take little memory.  The row sums of a run of one row take another
+    summation order than those of a longer run, so a slice of two rows or
+    more is cut only into runs of two rows or more: the values do not
+    depend on the run length."""
     if vecs.ndim == 1:
         return float(vecs @ (op @ vecs))
-    return blockwise(lambda steps: np.einsum("ij,ji->i", vecs[steps], op @ vecs[steps].T),
-                     len(vecs))
+
+    def block(steps):
+        v = vecs[steps]
+        n_runs = -(-len(v) // FORM_ROWS)
+        cuts = [len(v) * i // n_runs for i in range(n_runs + 1)]
+        return np.concatenate([np.einsum("ij,ji->i", v[a:b], op @ v[a:b].T)
+                               for a, b in zip(cuts[:-1], cuts[1:])])
+
+    return blockwise(block, len(vecs))
+
+
+def weighted_integral(mesh: RefMesh, w_cells: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """int w f of P1 scalar-dof values ([n_steps,] nsdof, ncomp) with a
+    cellwise weight w."""
+    weights = np.bincount(mesh.cell_sdofs.ravel(), minlength=mesh.nsdof,
+                          weights=np.repeat(mesh.areas * w_cells / 3.0, 3))
+    return np.einsum("s,...sv->...v", weights, values)
 
 
 def cell_gradients(field: Field) -> np.ndarray:

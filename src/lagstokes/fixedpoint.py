@@ -526,7 +526,8 @@ def picard_solve_local(v0: Field, cfg: IterationConfig, params: MaterialParams,
     # part from the leading states of this run
     n_hor = max(int(round(cfg.horizon / cfg.dt)), 1)
     n_cap = max(min(n_hor, int(round(1.0 / cfg.dt))), cfg.min_steps)
-    lin = run_linear(v0, n_cap, cfg.dt, params, workspace=ws, bubble0=bubble0)
+    lin = run_linear(v0, n_cap, cfg.dt, params, workspace=ws, bubble0=bubble0,
+                     keep_every=1)
     lin_u, lin_q, lin_vecs = lin.u, lin.q, lin.uvecs
 
     @cache
@@ -792,7 +793,7 @@ def global_continue(v0: Field, cfg: IterationConfig, params: MaterialParams,
     # global linear reference from the same datum; the continuation stops
     # at its final step, the horizon rounded to the time grid
     n_total = max(int(round(cfg.horizon / cfg.dt)), 1)
-    lin = run_linear(v0, n_total, cfg.dt, params, workspace=ws)
+    lin = run_linear(v0, n_total, cfg.dt, params, workspace=ws, keep_every=1)
     x_functional = _XFunctional(lin, cfg, eps0)
 
     bound = 2.0 * cfg.a_cal * init_norm

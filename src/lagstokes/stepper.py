@@ -19,9 +19,11 @@ nodal velocities and pressures is symmetric quasi-definite and is factored
 without pivoting, and one step of iterative refinement against the full
 saddle keeps each solve backward stable.  Every backward-Euler recurrence
 (``step_linear``, ``run_linear`` and the Picard corrections) runs through
-one routine, :meth:`StokesWorkspace.march`, which pipelines that
+one step loop, :meth:`StokesWorkspace.march_blocks`, which pipelines that
 refinement: the refinement solve of one step and the first solve of the
-next share one two-column triangular solve.  The stationary resolvent
+next share one two-column triangular solve.  It hands the states over in
+blocks, so ``run_linear`` reduces them to its series as they come and
+keeps copies of only the states it is asked for.  The stationary resolvent
 solves keep a pivoted LU of the full saddle, since their velocity block
 lam*M + A is not definite for lam <= 0.  The workspace also owns the
 solver of the eta-weighted Helmholtz projection, built on first use.  The
@@ -40,7 +42,7 @@ import scipy.sparse as sp
 
 from . import fem
 from .errors import (DataError, NumericError, ParameterError, ResolventError,
-                     ShapeError)
+                     ShapeError, StateLookupError)
 from .fem import Factorized
 from .mesh import Field, RefMesh
 from .transmission import MaterialParams, RigidBasis, _ProjectionWorkspace, build_rigid_basis
@@ -104,14 +106,16 @@ class StokesWorkspace:
     factorization cache keyed by time step.
 
     ``mu_cells`` overrides the piecewise-constant viscosity with cellwise
-    values (used by the local path for smooth mu(rho0))."""
+    values (used by the local path for smooth mu(rho0)); the cellwise
+    density and viscosity the operators were built with are kept as
+    ``eta_cells`` and ``mu_cells``."""
 
     def __init__(self, mesh: RefMesh, params: MaterialParams,
                  mu_cells: np.ndarray | None = None):
         self.mesh = mesh
         self.params = params
-        eta_c = params.eta_cells(mesh)
-        mu_c = params.mu_cells(mesh) if mu_cells is None \
+        self.eta_cells = eta_c = params.eta_cells(mesh)
+        self.mu_cells = mu_c = params.mu_cells(mesh) if mu_cells is None \
             else np.asarray(mu_cells, dtype=float)
         if np.any(mu_c <= 0):
             raise ParameterError("viscosity must be strictly positive")
@@ -143,12 +147,22 @@ class StokesWorkspace:
             self._step_lu[dt] = lu
         return lu
 
-    def march(self, dt: float, x0: np.ndarray, n_steps: int, load=None) -> np.ndarray:
-        """Backward-Euler solution stack, (n_steps + 1, nu + np): row 0 is
-        x0 and row m solves saddle(1/dt) x_m = [M u_{m-1} / dt, 0] + load(m - 1),
-        where u_{m-1} is the velocity part of row m - 1.  ``load`` is None
-        (zero data) or a function of the step index returning a full-length
-        load vector; ``n_steps`` must not be negative.
+    def march_blocks(self, dt: float, x0: np.ndarray, n_steps: int, load=None):
+        """The backward-Euler states as a stream of blocks: an iterator of
+        (start, rows), where rows[i] is state start + i.  Row 0 of the
+        first block is x0 and state m solves
+        saddle(1/dt) x_m = [M u_{m-1} / dt, 0] + load(m - 1), where u_{m-1}
+        is the velocity part of state m - 1.  ``load`` is None (zero data)
+        or a function of the step index returning a full-length load
+        vector; ``n_steps`` must not be negative.  The arguments are
+        checked, and the step factor built, when this is called; the steps
+        run as the blocks are taken.
+
+        The blocks are those of :func:`lagstokes.fem.stream_blocks`: they
+        break at the boundaries of :func:`lagstokes.fem.blockwise`, and
+        only a march of zero steps yields a one-row block.  ``rows`` views
+        one buffer of at most ``fem.STACK_BLOCK + 1`` rows that the next
+        block overwrites: a consumer copies what it keeps.
 
         Every step is refined once against the full saddle S, as
         ``CondensedSaddle.solve`` does, but the refinement is pipelined.
@@ -170,14 +184,23 @@ class StokesWorkspace:
         if n_steps < 0:
             raise ParameterError(f"n_steps must be non-negative, got {n_steps}")
         lu = self.step_factorization(dt)
+        return self._blocks(lu, dt, x0, n_steps, load)
+
+    def _blocks(self, lu: fem.CondensedSaddle, dt: float, x0: np.ndarray,
+                n_steps: int, load):
+        """The step loop of :meth:`march_blocks`."""
         nu, mass, matrix = self.nu, self.mass, lu.matrix
-        xs = np.empty((n_steps + 1, nu + self.np_))
-        xs[0] = x0
+        n_states, width = n_steps + 1, nu + self.np_
+        blocks = iter(fem.stream_blocks(n_states))
+        start, end = next(blocks)
+        rows = np.empty((min(n_states, fem.STACK_BLOCK + 1), width))
+        rows[0] = x0
         if n_steps == 0:
-            return xs
+            yield 0, rows
+            return
 
         # every step reuses these buffers; b holds b_m, then the residual r_m
-        b, bt, sx, corr, xt_next = np.empty((5, xs.shape[1]))
+        b, bt, sx, corr, xt_next = np.empty((5, width))
         mx = np.empty(nu)
         solve_pair = lu.pair_solver()
 
@@ -191,16 +214,29 @@ class StokesWorkspace:
             return out
 
         ld = None if load is None else load(0)
-        rhs(xs[0], ld, b)                          # b_1, from the exact x_0
+        rhs(rows[0], ld, b)                        # b_1, from the exact x_0
         xt = lu.solve_unrefined(b)                 # x~_1
         for m in range(1, n_steps):
             ld = None if load is None else load(m)
             np.subtract(b, fem.csr_matvec(matrix, xt, sx), out=b)     # r_m
             solve_pair(b, rhs(xt, ld, bt), corr, xt_next)
-            np.add(xt, corr, out=xs[m])            # refined x_m
-            rhs(xs[m], ld, b)                      # b_{m+1}
+            x = rows[m - start]
+            np.add(xt, corr, out=x)                # refined x_m
+            rhs(x, ld, b)                          # b_{m+1}
             xt, xt_next = xt_next, xt              # x~_{m+1}
-        xs[n_steps] = xt + lu.solve_unrefined(b - matrix @ xt)
+            if m + 1 == end:
+                yield start, rows[:end - start]
+                start, end = next(blocks)
+        rows[n_steps - start] = xt + lu.solve_unrefined(b - matrix @ xt)
+        yield start, rows[:end - start]
+
+    def march(self, dt: float, x0: np.ndarray, n_steps: int, load=None) -> np.ndarray:
+        """The whole backward-Euler solution stack of
+        :meth:`march_blocks`, (n_steps + 1, nu + np): row m is state m."""
+        blocks = self.march_blocks(dt, x0, n_steps, load)
+        xs = np.empty((n_steps + 1, self.nu + self.np_))
+        for start, rows in blocks:
+            xs[start:start + len(rows)] = rows
         return xs
 
     @cached_property
@@ -223,11 +259,27 @@ class StokesWorkspace:
         """1/2 (mu D(u), D(u)); the stiffness quadratic form."""
         return fem.quadratic_form(self.stiffness, uvec)
 
-    def momentum(self, uvec: np.ndarray, basis: RigidBasis | None = None) -> np.ndarray:
-        """(eta u, p_alpha) per rigid motion, with a leading axis for a stack."""
-        basis = basis or self.rigid_basis()
-        p_mat = np.column_stack([fem.field_to_uvec(p) for p in basis.fields])
-        return uvec @ (self.mass @ p_mat)
+    @cached_property
+    def _momentum_columns(self) -> np.ndarray:
+        """(nu, n_rigid): M p_alpha for each rigid motion p_alpha."""
+        p_mat = np.column_stack([fem.field_to_uvec(p) for p in self.rigid_basis().fields])
+        return self.mass @ p_mat
+
+    def momentum(self, uvec: np.ndarray) -> np.ndarray:
+        """(eta u, p_alpha) per rigid motion, with a leading axis for a
+        stack.  A stack is taken in the blocks of
+        :func:`lagstokes.fem.stream_blocks`, the blocks ``run_linear``
+        reduces, so that both give the same bits."""
+        cols = self._momentum_columns
+        if uvec.ndim == 1:
+            return uvec @ cols
+        return np.concatenate([uvec[a:b] @ cols for a, b in fem.stream_blocks(len(uvec))])
+
+    def flux(self, uvec: np.ndarray) -> np.ndarray:
+        """int eta u of the nodal velocity, (2,) or one row per state of a
+        stack; its time integral moves the barycenter."""
+        return fem.weighted_integral(self.mesh, self.eta_cells,
+                                     fem.uvec_to_field(self.mesh, uvec).values)
 
     # -- loads --------------------------------------------------------------
 
@@ -388,15 +440,18 @@ class Trajectory:
     """Uniform-dt sequence of states, held as time stacks, with scalar
     diagnostics and the Lagrangian companions filled by the nonlinear path.
 
-    ``uvecs`` is the (n_states, nu) velocity dof stack and ``q`` the
-    pressure field stack; ``cofactors`` (n_states, nsdof, 2, 2) holds the
-    nodal cofactor A and ``lagrangian_maps`` (n_states, n_nodes, 2) the
-    nodal positions X(xi, t) of each state, or None on the linear path.
+    ``times`` is the whole time grid.  ``steps`` holds the indices of the
+    states whose rows the stacks hold, ascending, or None when every state
+    is held; the diagnostic series cover every state either way.
+    ``uvecs`` is the (n_held, nu) velocity dof stack and ``q`` the pressure
+    field stack; ``cofactors`` (n_states, nsdof, 2, 2) holds the nodal
+    cofactor A and ``lagrangian_maps`` (n_states, n_nodes, 2) the nodal
+    positions X(xi, t) of each state, or None on the linear path.
     ``workspace`` is the one whose operators computed ``diagnostics``; the
     budgets in :mod:`lagstokes.diagnostics` reuse its series when they are
-    given the same workspace.  ``u`` builds the velocity field stack on
-    each access, and ``states`` builds a :class:`StokesState` only for the
-    index or slice asked for.
+    given the same workspace.  ``u`` builds the velocity field stack of the
+    held states on each access, and ``states`` builds a
+    :class:`StokesState` only for the state index or slice asked for.
     """
 
     times: np.ndarray
@@ -407,6 +462,7 @@ class Trajectory:
     lagrangian_maps: np.ndarray | None = None
     meta: dict = dc_field(default_factory=dict)
     workspace: StokesWorkspace | None = None
+    steps: np.ndarray | None = None
 
     @property
     def dt(self) -> float:
@@ -418,7 +474,7 @@ class Trajectory:
 
     @property
     def u(self) -> Field:
-        """Velocity field stack, built from ``uvecs``."""
+        """Velocity field stack of the held states, built from ``uvecs``."""
         return fem.uvec_to_field(self.mesh, self.uvecs)
 
     @property
@@ -427,15 +483,23 @@ class Trajectory:
 
     def series(self, name: str, workspace: StokesWorkspace, compute) -> np.ndarray:
         """The stored diagnostic series ``name`` if it was computed with the
-        operators of ``workspace``, else compute(velocity dof stack)."""
+        operators of ``workspace``, else compute(velocity dof stack), which
+        needs every state."""
         if workspace is self.workspace and name in self.diagnostics:
             return self.diagnostics[name]
+        if self.steps is not None:
+            raise StateLookupError(
+                f"series {name!r} was not stored with this workspace and cannot be "
+                f"recomputed: the trajectory holds {len(self.steps)} of its "
+                f"{len(self.times)} states (run with keep_every=1 to hold them all)")
         return compute(self.uvecs)
 
 
 class _StateView(Sequence):
-    """Read-only sequence of a trajectory's states; indexing builds the
-    states asked for from the stacks, and ``len`` builds none."""
+    """Read-only sequence of a trajectory's states, indexed by state over
+    the whole time grid; indexing builds the states asked for from the
+    stacks and raises ``StateLookupError`` for a state that is not held,
+    and ``len`` builds none."""
 
     def __init__(self, traj: Trajectory):
         self._traj = traj
@@ -448,23 +512,39 @@ class _StateView(Sequence):
             return [self[i] for i in range(*m.indices(len(self)))]
         traj = self._traj
         m = range(len(self))[m]                # a negative index counts from the end
-        return StokesState.from_uvec(traj.mesh, traj.uvecs[m], traj.q[m], float(traj.times[m]))
+        row = m
+        if traj.steps is not None:
+            row = int(np.searchsorted(traj.steps, m))
+            if row == len(traj.steps) or traj.steps[row] != m:
+                raise StateLookupError(f"state {m} is not held; the trajectory holds "
+                                       f"states {traj.steps.tolist()}")
+        return StokesState.from_uvec(traj.mesh, traj.uvecs[row], traj.q[row],
+                                     float(traj.times[m]))
 
 
 def run_linear(u0: Field, n_steps: int, dt: float, params: MaterialParams,
                data=None, workspace: StokesWorkspace | None = None,
-               bubble0: np.ndarray | None = None) -> Trajectory:
+               bubble0: np.ndarray | None = None,
+               keep_every: int | None = None) -> Trajectory:
     """Integrate the zero- or given-data linear system from u0.
 
     ``data`` may be None, a single StokesData reused each step, or a
     callable step_index -> StokesData.  ``bubble0`` carries the initial
     bubble coefficients when restarting from a previous discrete state.
-    The trajectory's velocity dof and pressure stacks view the solution
-    stack of the march; state 0 holds u0's dof vector and zero pressure.
+    State 0 holds u0's dof vector and zero pressure.
+
+    The march's blocks are reduced as they come to the energy,
+    dissipation, rigid momenta and eta-weighted flux of every state, stored
+    in ``diagnostics``.  The trajectory holds copies of state 0, every
+    ``keep_every``-th state and the last state; None holds only the first
+    and the last, and 1 holds every state.  No stack of every state is made
+    unless every state is held.
     """
     mesh = u0.mesh
     ws = workspace or StokesWorkspace(mesh, params)
     nu = ws.nu
+    if keep_every is not None and keep_every < 1:
+        raise ParameterError(f"keep_every must be positive or None, got {keep_every}")
     if data is None:
         load = None
     elif callable(data):
@@ -474,13 +554,23 @@ def run_linear(u0: Field, n_steps: int, dt: float, params: MaterialParams,
         load = lambda m: fixed                     # noqa: E731
     x0 = np.concatenate([StokesState(u0, Field.zeros(mesh, 1), 0.0, bubble=bubble0).uvec(),
                          np.zeros(ws.np_)])
-    xs = ws.march(dt, x0, n_steps, load)
-    vecs = xs[:, :nu]
-    return Trajectory(dt * np.arange(n_steps + 1), vecs, Field(mesh, 1, xs[:, nu:, None]),
-                      diagnostics={"energy": ws.kinetic_energy(vecs),
-                                   "dissipation": ws.dissipation(vecs),
-                                   "momenta": ws.momentum(vecs)},
-                      workspace=ws)
+    blocks = ws.march_blocks(dt, x0, n_steps, load)
+    n = n_steps + 1
+    steps = np.union1d(np.arange(0, n, keep_every or n), [n - 1])
+    held = np.empty((len(steps), nu + ws.np_))
+    series = {"energy": np.empty(n), "dissipation": np.empty(n),
+              "momenta": np.empty((n, len(ws.rigid_basis()))), "flux": np.empty((n, 2))}
+    reductions = {"energy": ws.kinetic_energy, "dissipation": ws.dissipation,
+                  "momenta": ws.momentum, "flux": ws.flux}
+    for start, rows in blocks:
+        stop = start + len(rows)
+        for name, reduce in reductions.items():
+            series[name][start:stop] = reduce(rows[:, :nu])
+        lo, hi = np.searchsorted(steps, (start, stop))
+        held[lo:hi] = rows[steps[lo:hi] - start]
+    return Trajectory(dt * np.arange(n), held[:, :nu], Field(mesh, 1, held[:, nu:, None]),
+                      diagnostics=series, workspace=ws,
+                      steps=None if len(steps) == n else steps)
 
 
 def solve_resolvent(lam: complex, f: Field, params: MaterialParams,

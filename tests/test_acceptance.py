@@ -106,7 +106,7 @@ def test_c03_rigid_equilibria(mesh, ws):
     basis = ws.rigid_basis()
     worst_u, worst_q = 0.0, 0.0
     for p in basis.fields:
-        traj = run_linear(p, 100, 0.05, PARAMS, workspace=ws)
+        traj = run_linear(p, 100, 0.05, PARAMS, workspace=ws, keep_every=1)
         for s in traj.states:
             worst_u = max(worst_u, fem.field_l2(s.u - p) / fem.field_l2(p))
             worst_q = max(worst_q, float(np.abs(s.q.values).max()))

@@ -237,6 +237,24 @@ def test_snapshot_written_when_requested(tmp_path, monkeypatch):
     assert np.array_equal(fld.values, last.u.values) and t == last.t
 
 
+def test_snapshot_setting_does_not_change_the_diagnostics(tmp_path):
+    # solve-linear holds only the states it writes; its series cover every state
+    written = {}
+    for every in (0, 10):
+        text = (SMALL.replace("n_steps = 20", "n_steps = 25")
+                + f"[output]\nsnapshot_every = {every}\n")
+        cfg = parse_config(write_cfg(tmp_path, text))
+        cfg.out_dir = tmp_path / f"every{every}"
+        assert run_subcommand(cfg, "solve-linear") == 0
+        written[every] = (cfg.out_dir / "diagnostics.csv").read_bytes()
+        assert "n_states 26" in (cfg.out_dir / "manifest.txt").read_text().splitlines()
+    assert written[0] == written[10]
+    assert not (tmp_path / "every0" / "snapshots").exists()
+    with pytest.raises(ValidationError) as err:
+        parse_config(write_cfg(tmp_path, "[output]\nsnapshot_every = -1\n"))
+    assert "snapshot_every" in str(err.value)
+
+
 def test_solve_global_writes_segment_record(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, SMALL + "[iteration]\nhorizon = 1.5\n"))
     cfg.out_dir = tmp_path / "glob"

@@ -252,3 +252,25 @@ def test_bootstrap_check_reports_first_violation():
     verdict = bootstrap_check(a, b, X)
     assert not verdict.recursion_ok
     assert verdict.first_violation == 7
+
+
+def test_lagrangian_energy_budget_uses_the_solved_viscosity(mesh, ws):
+    # a tabulated viscosity equal to that of other material parameters: the
+    # budget of each run takes the viscosity its trajectory was solved with
+    from lagstokes import fem
+    from lagstokes.fixedpoint import IterationConfig, picard_solve_local
+
+    doubled = MaterialParams(2.0, 1.0, 0.6, 0.2)
+    u0 = fem.interpolate(mesh, lambda x, y: 0.02 * (1.1 - x * x - y * y) * np.array([y, -x]), 2)
+    u0 = project_out_rigid(u0, ws.rigid_basis(), PARAMS)
+    cfg = IterationConfig(dt=0.05, horizon=0.2, smallness=10.0)
+    tabulated, _ = picard_solve_local(u0, cfg, PARAMS,
+                                      mu_nodal=Field(mesh, 1, doubled.mu_sdofs(mesh)[:, None]))
+    plain, _ = picard_solve_local(u0, cfg, doubled)
+    got = energy_budget(tabulated, PARAMS).csv_columns()
+    ref = energy_budget(plain, doubled).csv_columns()
+    assert list(got) == list(ref)
+    for name in ("energy", "dissipation"):
+        assert np.abs(got[name] - ref[name]).max() <= 1e-10 * np.abs(ref[name]).max(), name
+    scale = np.abs(ref["dissipation"]).max()
+    assert np.abs(got["residual_energy"] - ref["residual_energy"]).max() <= 1e-10 * scale

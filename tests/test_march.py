@@ -1,14 +1,18 @@
-"""The backward-Euler march with pipelined refinement."""
+"""The backward-Euler march with pipelined refinement, and its stream of
+blocks."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lagstokes import fem
+from lagstokes.errors import ParameterError, StateLookupError
 from lagstokes.fixedpoint import NonlinearRHS, _momentum_rhs, _solve_correction
 from lagstokes.mesh import Field, build_two_phase_disk
 from lagstokes.stepper import StokesData, StokesState, StokesWorkspace, run_linear, step_linear
-from lagstokes.transmission import MaterialParams
+from lagstokes.transmission import MaterialParams, project_out_rigid
 
 PARAMS = MaterialParams(2.0, 1.0, 0.3, 0.1)
 N_STEPS = 12
@@ -157,7 +161,8 @@ def test_run_linear_with_data_matches_step_chain(ws, kind):
         data = step_data = lambda m: StokesData(f=f, h=(m + 1) * h, k=k)   # noqa: E731
     u0 = Field.from_nodal(mesh, rng.standard_normal((mesh.n_nodes, 2)))
     bubble0 = rng.standard_normal(ws.nu - 2 * mesh.n_nodes)
-    traj = run_linear(u0, N_STEPS, 0.05, PARAMS, data=data, workspace=ws, bubble0=bubble0)
+    traj = run_linear(u0, N_STEPS, 0.05, PARAMS, data=data, workspace=ws, bubble0=bubble0,
+                      keep_every=1)
 
     state = StokesState(u0, Field.zeros(mesh, 1), 0.0, bubble=bubble0)
     for m in range(N_STEPS):
@@ -170,3 +175,100 @@ def test_run_linear_with_data_matches_step_chain(ws, kind):
     assert np.array_equal(traj.uvecs, vecs)
     assert np.array_equal(traj.diagnostics["energy"], ws.kinetic_energy(vecs))
     assert np.array_equal(traj.diagnostics["momenta"], ws.momentum(vecs))
+
+
+# -- the stream of blocks -----------------------------------------------------------
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["zero", "loaded"])
+@pytest.mark.parametrize("n_steps", [0, 1, 24, 25, 26, 50, 76])
+def test_blocks_concatenate_to_the_march(ws, n_steps, loaded):
+    rng = np.random.default_rng(11)
+    x0 = rng.standard_normal(ws.nu + ws.np_)
+    loads = rng.standard_normal((n_steps, ws.nu + ws.np_))
+    load = (lambda m: loads[m]) if loaded else None
+    # each block is copied as it comes: the next block reuses its buffer
+    blocks = [(start, rows.copy()) for start, rows in ws.march_blocks(0.05, x0, n_steps, load)]
+    starts = [start for start, _ in blocks]
+    ends = [start + len(rows) for start, rows in blocks]
+    assert starts == [0] + ends[:-1] and ends[-1] == n_steps + 1
+    assert all(start % fem.STACK_BLOCK == 0 for start in starts)
+    assert all(len(rows) <= fem.STACK_BLOCK + 1 for _, rows in blocks)
+    if n_steps > 0:
+        assert all(len(rows) > 1 for _, rows in blocks)
+    stack = np.concatenate([rows for _, rows in blocks])
+    assert np.array_equal(stack, ws.march(0.05, x0, n_steps, load))
+
+
+def test_march_blocks_checks_its_arguments_when_called(ws):
+    x0 = np.zeros(ws.nu + ws.np_)
+    with pytest.raises(ParameterError):
+        ws.march_blocks(0.05, x0, -1)
+    with pytest.raises(ParameterError):
+        ws.march_blocks(0.0, x0, 3)
+
+
+def _swirl(mesh, ws):
+    u0 = fem.interpolate(mesh, lambda x, y: 0.02 * (1.1 - x * x - y * y) * np.array([y, -x]), 2)
+    return project_out_rigid(u0, ws.rigid_basis(), PARAMS)
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 25, 50])
+def test_kept_states_and_series_do_not_depend_on_keep_every(ws, n_steps):
+    u0 = _swirl(ws.mesh, ws)
+    bubble0 = 1e-3 * np.random.default_rng(12).standard_normal(ws.nu - 2 * ws.mesh.n_nodes)
+    runs = {keep: run_linear(u0, n_steps, 0.05, PARAMS, workspace=ws, bubble0=bubble0,
+                             keep_every=keep)
+            for keep in (None, 1, 7)}
+    full = runs[1]
+    assert full.steps is None and len(full.uvecs) == n_steps + 1
+    # the series reduced block by block are those of the whole stack
+    for name, reduce in (("energy", ws.kinetic_energy), ("dissipation", ws.dissipation),
+                         ("momenta", ws.momentum), ("flux", ws.flux)):
+        assert np.array_equal(full.diagnostics[name], reduce(full.uvecs)), name
+    for keep, traj in runs.items():
+        assert np.array_equal(traj.times, full.times) and traj.dt == full.dt
+        assert list(traj.diagnostics) == ["energy", "dissipation", "momenta", "flux"]
+        for name, series in full.diagnostics.items():
+            assert np.array_equal(traj.diagnostics[name], series), (keep, name)
+        held = range(n_steps + 1) if traj.steps is None else traj.steps
+        expected = sorted({*range(0, n_steps + 1, keep or n_steps + 1), n_steps})
+        assert list(held) == expected
+        assert np.array_equal(traj.uvecs, full.uvecs[expected])
+        assert np.array_equal(traj.q.values, full.q.values[expected])
+        for m in held:
+            state, ref = traj.states[m], full.states[m]
+            assert np.array_equal(state.uvec(), ref.uvec())
+            assert np.array_equal(state.q.values, ref.q.values) and state.t == ref.t
+        assert np.array_equal(traj.states[-1].uvec(), full.uvecs[-1])
+
+
+def test_partial_trajectory_refuses_what_it_does_not_hold(ws):
+    traj = run_linear(_swirl(ws.mesh, ws), 20, 0.05, PARAMS, workspace=ws, keep_every=7)
+    assert traj.steps.tolist() == [0, 7, 14, 20] and len(traj.states) == 21
+    for m in (1, 6, 19, -2):
+        with pytest.raises(StateLookupError):
+            traj.states[m]
+    with pytest.raises(StateLookupError):
+        traj.states[0:3]
+    assert traj.series("energy", ws, None) is traj.diagnostics["energy"]
+    with pytest.raises(StateLookupError):
+        traj.series("energy", StokesWorkspace(ws.mesh, PARAMS), ws.kinetic_energy)
+    with pytest.raises(ParameterError):
+        run_linear(_swirl(ws.mesh, ws), 20, 0.05, PARAMS, workspace=ws, keep_every=0)
+
+
+def test_stream_holds_no_solution_stack():
+    mesh = build_two_phase_disk(12, 48, 0.5, 1.0)
+    ws = StokesWorkspace(mesh, PARAMS)
+    n_steps, dt = 200, 0.05
+    u0 = _swirl(mesh, ws)
+    ws.step_factorization(dt)
+    tracemalloc.start()
+    try:
+        traj = run_linear(u0, n_steps, dt, PARAMS, workspace=ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stack_bytes = (n_steps + 1) * (ws.nu + ws.np_) * 8
+    assert traj.steps.tolist() == [0, n_steps]
+    assert peak < stack_bytes / 3, peak / stack_bytes

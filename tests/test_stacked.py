@@ -180,7 +180,7 @@ def test_batched_budgets_match_per_state_loops(path):
     u0 = fem.interpolate(mesh, lambda x, y: 0.02 * (1.1 - x * x - y * y) * np.array([y, -x]), 2)
     u0 = project_out_rigid(u0, ws.rigid_basis(), PARAMS)
     if path == "linear":      # more states than one block of the batched evaluation
-        traj = run_linear(u0, 3 * fem.STACK_BLOCK, DT, PARAMS, workspace=ws)
+        traj = run_linear(u0, 3 * fem.STACK_BLOCK, DT, PARAMS, workspace=ws, keep_every=1)
     else:
         traj, _ = global_continue(u0, IterationConfig(dt=DT, horizon=1.5, smallness=10.0),
                                   PARAMS, workspace=ws)
@@ -210,7 +210,7 @@ def test_budgets_from_stored_series_equal_recomputed(path):
     u0 = fem.interpolate(mesh, lambda x, y: 0.02 * (1.1 - x * x - y * y) * np.array([y, -x]), 2)
     u0 = project_out_rigid(u0, ws.rigid_basis(), PARAMS)
     if path == "linear":
-        traj = run_linear(u0, 30, DT, PARAMS, workspace=ws)
+        traj = run_linear(u0, 30, DT, PARAMS, workspace=ws, keep_every=1)
     else:
         traj, _ = global_continue(u0, IterationConfig(dt=DT, horizon=1.5, smallness=10.0),
                                   PARAMS, workspace=ws)
@@ -260,7 +260,7 @@ def test_linear_states_equal_per_state_construction():
     u0 = _swirl(mesh, ws)
     n_steps, nu, nn = 3 * fem.STACK_BLOCK, ws.nu, mesh.n_nodes
     bubble0 = 1e-3 * np.random.default_rng(3).standard_normal(nu - 2 * nn)
-    traj = run_linear(u0, n_steps, DT, PARAMS, workspace=ws, bubble0=bubble0)
+    traj = run_linear(u0, n_steps, DT, PARAMS, workspace=ws, bubble0=bubble0, keep_every=1)
     # the former run_linear: state 0 from the datum, the others built from
     # the rows of the march's solution stack
     state0 = StokesState(u0, Field.zeros(mesh, 1), 0.0, bubble=bubble0)
@@ -315,7 +315,7 @@ def test_len_mesh_and_budgets_build_no_state(path, monkeypatch):
     ws = StokesWorkspace(mesh, PARAMS)
     u0 = _swirl(mesh, ws)
     if path == "linear":
-        traj = run_linear(u0, 30, DT, PARAMS, workspace=ws)
+        traj = run_linear(u0, 30, DT, PARAMS, workspace=ws, keep_every=1)
     else:
         traj, _ = global_continue(u0, IterationConfig(dt=DT, horizon=1.5, smallness=10.0),
                                   PARAMS, workspace=ws)
