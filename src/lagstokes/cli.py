@@ -24,7 +24,7 @@ from .errors import ConfigParseError, LagStokesError, ValidationError
 from .fixedpoint import IterationConfig, global_continue, picard_solve_local
 from .mesh import Field, RefMesh, build_two_phase_disk, write_mesh
 from .snapshots import read_csv, write_csv, write_field
-from .stepper import StokesWorkspace, Trajectory, run_linear
+from .stepper import StokesWorkspace, Trajectory, run_linear, step_loop, usable_cpus
 from .transmission import (MaterialParams, helmholtz_project, project_out_rigid,
                            rigid_momenta, solve_weak_transmission)
 
@@ -273,6 +273,12 @@ def _write_manifest(cfg: RunConfig, extra: dict) -> None:
     (cfg.out_dir / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+def _march_facts(ws: StokesWorkspace, dt: float) -> dict:
+    """The CPUs this process may use and the step loop its marches at time
+    step dt run (see :func:`lagstokes.stepper.step_loop`)."""
+    return {"cpu.usable": usable_cpus(), "march.step_loop": step_loop(ws.step_factorization(dt))}
+
+
 def _write_trajectory(cfg: RunConfig, mesh: RefMesh, traj: Trajectory,
                       params: MaterialParams, ws: StokesWorkspace) -> None:
     write_mesh(mesh, cfg.out_dir / "mesh.txt")
@@ -326,7 +332,8 @@ def _cmd_solve_linear(cfg: RunConfig) -> int:
                       keep_every=cfg[("output", "snapshot_every")] or None)
     _write_trajectory(cfg, mesh, traj, params, ws)
     _write_manifest(cfg, {"subcommand": "solve-linear", "mesh_hash": mesh.mesh_hash(),
-                          "n_states": len(traj.times)})
+                          "n_states": len(traj.times),
+                          **_march_facts(ws, cfg[("solver", "dt")])})
     return 0
 
 
@@ -349,7 +356,8 @@ def _cmd_solve_nonlinear(cfg: RunConfig) -> int:
                           "converged": report.converged,
                           "horizon_used": report.horizon,
                           "kappa_max": report.kappa_max,
-                          "residual": report.residual})
+                          "residual": report.residual,
+                          **_march_facts(ws, itcfg.dt)})
     return 0 if report.converged else 1
 
 
@@ -380,7 +388,8 @@ def _cmd_solve_global(cfg: RunConfig) -> int:
                           "decay_rate": report.decay_rate,
                           "x_exceeded": report.exceeded,
                           "momenta_drift": report.momenta_drift,
-                          "a_fit": report.a_fit, "b_fit": report.b_fit})
+                          "a_fit": report.a_fit, "b_fit": report.b_fit,
+                          **_march_facts(ws, itcfg.dt)})
     if report.exceeded:
         print("continuation failure: X(T) exceeded its bound", file=sys.stderr)
         return 1

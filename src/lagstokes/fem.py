@@ -460,6 +460,13 @@ class Factorized:
         except RuntimeError as exc:
             raise SolverError(f"sparse factorization failed: {exc}") from exc
 
+    @property
+    def fill(self) -> int:
+        """Stored entries of the L and U factors, SuperLU's count (its
+        supernodal L counts each supernode's dense block); reading it makes
+        no copy of the factors."""
+        return self._lu.nnz
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         x = self._lu.solve(rhs)
         if not np.isfinite(x).all():
@@ -609,5 +616,24 @@ class CondensedSaddle(Factorized):
                 expand_in[j, :nc] = y[:, j]
                 expand_in[j, nc:] = rhs[bubbles]
                 csr_matvec(expand, expand_in[j], out)
+
+        return solve
+
+    def column_solver(self):
+        """``solve_unrefined`` of one right-hand side into a given output,
+        the one-column counterpart of :meth:`pair_solver`: solve(rhs, out)
+        writes the solution into ``out`` and returns it, and its buffers are
+        allocated once, so each thread that solves takes its own solver.  A
+        one-column triangular solve gives the same bits as its column of
+        the two-column solve."""
+        condense, expand, bubbles = self._condense, self._expand, self._bubbles
+        nc = condense.shape[0]
+        col = np.empty(nc)
+        expand_in = np.empty(expand.shape[1])
+
+        def solve(rhs, out):
+            expand_in[:nc] = Factorized.solve(self, csr_matvec(condense, rhs, col))
+            expand_in[nc:] = rhs[bubbles]
+            return csr_matvec(expand, expand_in, out)
 
         return solve

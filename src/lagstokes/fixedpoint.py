@@ -22,7 +22,7 @@ from . import fem, kernel
 from .errors import (DomainError, GeometryError, NonContractionError,
                      ParameterError, ValidationError)
 from .mesh import Field
-from .stepper import StokesWorkspace, Trajectory, run_linear
+from .stepper import StokesWorkspace, Trajectory
 from .transmission import MaterialParams, helmholtz_project, project_out_rigid, rigid_momenta
 
 
@@ -526,9 +526,8 @@ def picard_solve_local(v0: Field, cfg: IterationConfig, params: MaterialParams,
     # part from the leading states of this run
     n_hor = max(int(round(cfg.horizon / cfg.dt)), 1)
     n_cap = max(min(n_hor, int(round(1.0 / cfg.dt))), cfg.min_steps)
-    lin = run_linear(v0, n_cap, cfg.dt, params, workspace=ws, bubble0=bubble0,
-                     keep_every=1)
-    lin_u, lin_q, lin_vecs = lin.u, lin.q, lin.uvecs
+    lin_vecs, lin_u, lin_q = _split_stack(
+        ws, ws.march(cfg.dt, ws.state_vector(v0, bubble0), n_cap))
 
     @cache
     def lin_norm(n: int) -> float:
@@ -673,13 +672,18 @@ def _solve_correction(ws, dt, rhs_nl: NonlinearRHS):
     nonlinear data at steps 1..n; the sequential part of an iterate.
     Returns the velocity dof stack and the velocity and pressure field
     stacks, steps 0..n."""
-    mesh = ws.mesh
     loads = np.concatenate([_momentum_rhs(ws, rhs_nl),
                             fem.apply_sparse(ws.pressure_mass, rhs_nl.g.values[..., 0], -1)],
                            axis=1)
-    xs = ws.march(dt, np.zeros(ws.nu + ws.np_), len(loads), lambda m: loads[m])
+    return _split_stack(ws, ws.march(dt, np.zeros(ws.nu + ws.np_), len(loads),
+                                     lambda m: loads[m]))
+
+
+def _split_stack(ws, xs: np.ndarray):
+    """The velocity dof stack and the velocity and pressure field stacks
+    of a march's solution stack."""
     vecs = xs[:, :ws.nu]
-    return vecs, fem.uvec_to_field(mesh, vecs), Field(mesh, 1, xs[:, ws.nu:, None])
+    return vecs, fem.uvec_to_field(ws.mesh, vecs), Field(ws.mesh, 1, xs[:, ws.nu:, None])
 
 
 def _substituted_residual(ws, dt, u_vecs, q: Field, rhs_nl: NonlinearRHS) -> float:
@@ -793,8 +797,8 @@ def global_continue(v0: Field, cfg: IterationConfig, params: MaterialParams,
     # global linear reference from the same datum; the continuation stops
     # at its final step, the horizon rounded to the time grid
     n_total = max(int(round(cfg.horizon / cfg.dt)), 1)
-    lin = run_linear(v0, n_total, cfg.dt, params, workspace=ws, keep_every=1)
-    x_functional = _XFunctional(lin, cfg, eps0)
+    _, lin_u, lin_q = _split_stack(ws, ws.march(cfg.dt, ws.state_vector(v0), n_total))
+    x_functional = _XFunctional(lin_u, lin_q, cfg, eps0)
 
     bound = 2.0 * cfg.a_cal * init_norm
     # (velocity dofs, pressures, cofactors, maps) of each segment; a later
@@ -864,8 +868,8 @@ class _XFunctional:
     terms of its steps and keeps them, so the sums run over the same
     per-step terms as a full recomputation would."""
 
-    def __init__(self, lin: Trajectory, cfg: IterationConfig, eps0: float):
-        self.lin_u, self.lin_q = lin.u, lin.q
+    def __init__(self, lin_u: Field, lin_q: Field, cfg: IterationConfig, eps0: float):
+        self.lin_u, self.lin_q = lin_u, lin_q
         self.dt, self.p, self.eps0 = cfg.dt, cfg.p, eps0
         self.terms, self.pterms = [], []
 

@@ -20,19 +20,27 @@ without pivoting, and one step of iterative refinement against the full
 saddle keeps each solve backward stable.  Every backward-Euler recurrence
 (``step_linear``, ``run_linear`` and the Picard corrections) runs through
 one step loop, :meth:`StokesWorkspace.march_blocks`, which pipelines that
-refinement: the refinement solve of one step and the first solve of the
-next share one two-column triangular solve.  It hands the states over in
-blocks, so ``run_linear`` reduces them to its series as they come and
-keeps copies of only the states it is asked for.  The stationary resolvent
-solves keep a pivoted LU of the full saddle, since their velocity block
-lam*M + A is not definite for lam <= 0.  The workspace also owns the
-solver of the eta-weighted Helmholtz projection, built on first use.  The
-Korn constant is a shift-invert Lanczos iteration on the rigid-constrained
-pencil.
+refinement into two chains: the unrefined solves, each from the previous
+unrefined state, and the refinements, each of an unrefined state against
+the right-hand side of the previous refined state.  On one thread the
+refinement solve of one step and the unrefined solve of the next share one
+two-column triangular solve; with a large step factor and two usable CPUs
+(:func:`step_loop`) a worker thread runs the unrefined chain ahead while
+the calling thread refines, and both give the same bits.  The march hands
+the states over in blocks, so ``run_linear`` reduces them to its series as
+they come and keeps copies of only the states it is asked for.  The
+stationary resolvent solves keep a pivoted LU of the full saddle, since
+their velocity block lam*M + A is not definite for lam <= 0.  The
+workspace also owns the solver of the eta-weighted Helmholtz projection,
+built on first use.  The Korn constant is a shift-invert Lanczos iteration
+on the rigid-constrained pencil.
 """
 
 from __future__ import annotations
 
+import os
+import queue
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -49,6 +57,32 @@ from .transmission import MaterialParams, RigidBasis, _ProjectionWorkspace, buil
 
 _DATA_CONSISTENCY_TOL = 1e-8
 _KORN_SHIFT = -0.1
+
+# A step factor with at least this many stored entries (Factorized.fill)
+# runs the march's two chains on two threads, when two CPUs are usable.
+# Threaded over one-thread time of a 200-step march, one BLAS thread on two
+# vCPUs, over several sessions: 6x24 (fill 0.12M) 1.15-1.35, 12x48 (0.50M)
+# 0.78-1.07, 14x56 (0.73M) 0.77-0.92, 16x64 (1.0M) 0.77.
+TWO_THREAD_MIN_FILL = 750_000
+# Hand-overs the worker of the two-thread step loop may run ahead by.
+_HANDOFF_DEPTH = 4
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def step_loop(lu: fem.CondensedSaddle) -> str:
+    """The step loop a march with the step factor ``lu`` runs: "two-thread"
+    for a large factor when two CPUs are usable, else "pair" (see
+    :meth:`StokesWorkspace.march_blocks`)."""
+    if lu.fill >= TWO_THREAD_MIN_FILL and usable_cpus() >= 2:
+        return "two-thread"
+    return "pair"
 
 
 @dataclass
@@ -178,6 +212,25 @@ class StokesWorkspace:
         triangular solve's result, the step loop allocates nothing: its
         right-hand sides and products write into buffers made once per
         march.
+
+        The pipeline is two chains.  The unrefined chain
+        x~_{m+1} = S~^-1 ([M x~_m,u / dt, 0] + load(m)) reads only x~_m; the
+        refinement chain needs x~_m and the refined x_{m-1}.  :func:`step_loop`
+        picks how they run.  For a step factor of fewer than
+        ``TWO_THREAD_MIN_FILL`` stored entries, or with one usable CPU, one
+        thread runs both and pairs their solves in one two-column solve,
+        which on a small factor costs less than two one-column solves and
+        needs no hand-over between threads.  Otherwise a worker thread runs
+        the unrefined chain up to ``_HANDOFF_DEPTH`` steps ahead, into a
+        fixed ring of state buffers, calls ``load`` once per step and hands
+        its result over with x~_{m+1}; the calling thread refines and
+        streams the blocks.  SuperLU's triangular solves and the sparse
+        products release the GIL, so the two one-column solves of a step
+        run at once.  A one-column solve gives the same bits as its column
+        of the two-column solve, so both loops deliver the same states.  An
+        exception on the worker (from ``load`` or a non-finite solve) is
+        raised in the caller, and the worker is stopped and joined when the
+        march ends, fails or its stream is closed.
         """
         if dt <= 0:
             raise ParameterError(f"dt must be positive, got {dt}")
@@ -188,24 +241,34 @@ class StokesWorkspace:
 
     def _blocks(self, lu: fem.CondensedSaddle, dt: float, x0: np.ndarray,
                 n_steps: int, load):
-        """The step loop of :meth:`march_blocks`."""
-        nu, mass, matrix = self.nu, self.mass, lu.matrix
-        n_states, width = n_steps + 1, nu + self.np_
-        blocks = iter(fem.stream_blocks(n_states))
-        start, end = next(blocks)
-        rows = np.empty((min(n_states, fem.STACK_BLOCK + 1), width))
+        """The block stream of :meth:`march_blocks`, filled by the step loop
+        that :func:`step_loop` selects for the factor."""
+        rows = np.empty((min(n_steps + 1, fem.STACK_BLOCK + 1), self.nu + self.np_))
         rows[0] = x0
         if n_steps == 0:
             yield 0, rows
             return
+        blocks = iter(fem.stream_blocks(n_steps + 1))
+        start, end = next(blocks)
+        loop = self._two_thread_steps if step_loop(lu) == "two-thread" else self._pair_steps
+        # the loop writes state m into rows[m - start] of the current block
+        steps = loop(lu, dt, n_steps, load, lambda m: rows[m - start])
+        try:
+            for m in steps:
+                if m + 1 == end:
+                    yield start, rows[:end - start]
+                    start, end = next(blocks, (None, None))
+        finally:
+            steps.close()
 
-        # every step reuses these buffers; b holds b_m, then the residual r_m
-        b, bt, sx, corr, xt_next = np.empty((5, width))
+    def _rhs(self, dt: float):
+        """rhs(x, ld, out): out = [M x_u / dt, 0] + ld, with ld None for zero
+        data; the product goes through a buffer of its own, so each thread
+        of a march takes its own rhs."""
+        nu, mass = self.nu, self.mass
         mx = np.empty(nu)
-        solve_pair = lu.pair_solver()
 
         def rhs(x, ld, out):
-            """out = [M x_u / dt, 0] + ld."""
             if ld is None:
                 out.fill(0.0)
             else:
@@ -213,22 +276,103 @@ class StokesWorkspace:
             out[:nu] += np.divide(fem.csr_matvec(mass, x[:nu], mx), dt, out=mx)
             return out
 
+        return rhs
+
+    @staticmethod
+    def _last_step(lu: fem.CondensedSaddle, b: np.ndarray, xt: np.ndarray, out: np.ndarray):
+        """The refinement of the last state, whose successor is not solved."""
+        out[:] = xt + lu.solve_unrefined(b - lu.matrix @ xt)
+
+    def _pair_steps(self, lu: fem.CondensedSaddle, dt: float, n_steps: int, load, row):
+        """The step loop on one thread: states 1..n_steps are written into
+        row(m) and m is yielded after each; the refinement solve of state m
+        and the unrefined solve of state m + 1 share one two-column
+        triangular solve."""
+        matrix = lu.matrix
+        # every step reuses these buffers; b holds b_m, then the residual r_m
+        b, bt, sx, corr, xt_next = np.empty((5, self.nu + self.np_))
+        rhs, solve_pair = self._rhs(dt), lu.pair_solver()
         ld = None if load is None else load(0)
-        rhs(rows[0], ld, b)                        # b_1, from the exact x_0
+        rhs(row(0), ld, b)                         # b_1, from the exact x_0
         xt = lu.solve_unrefined(b)                 # x~_1
         for m in range(1, n_steps):
             ld = None if load is None else load(m)
             np.subtract(b, fem.csr_matvec(matrix, xt, sx), out=b)     # r_m
             solve_pair(b, rhs(xt, ld, bt), corr, xt_next)
-            x = rows[m - start]
+            x = row(m)
             np.add(xt, corr, out=x)                # refined x_m
             rhs(x, ld, b)                          # b_{m+1}
             xt, xt_next = xt_next, xt              # x~_{m+1}
-            if m + 1 == end:
-                yield start, rows[:end - start]
-                start, end = next(blocks)
-        rows[n_steps - start] = xt + lu.solve_unrefined(b - matrix @ xt)
-        yield start, rows[:end - start]
+            yield m
+        self._last_step(lu, b, xt, row(n_steps))
+        yield n_steps
+
+    def _two_thread_steps(self, lu: fem.CondensedSaddle, dt: float, n_steps: int, load,
+                          row):
+        """The step loop of :meth:`_pair_steps` with its two chains on two
+        threads.  A worker runs the unrefined chain
+        x~_{m+1} = S~^-1 (rhs(x~_m) + load(m)) ahead into a ring of state
+        buffers and hands each load(m) over with x~_{m+1}; this thread
+        refines.  The worker stops, and is joined, when the loop ends, fails
+        or is closed, and its exceptions are raised here."""
+        matrix, width = lu.matrix, self.nu + self.np_
+        # slot m % len(ring) holds x~_m; the worker, at most _HANDOFF_DEPTH
+        # hand-overs ahead, never writes the slot this thread reads
+        ring = np.empty((_HANDOFF_DEPTH + 2, width))
+        ring[0] = row(0)
+        handoff = queue.Queue(_HANDOFF_DEPTH)
+        stop = threading.Event()
+
+        def slot(m):
+            return ring[m % len(ring)]
+
+        def unrefined_chain():
+            rhs, solve = self._rhs(dt), lu.column_solver()
+            bt = np.empty(width)
+            try:
+                for m in range(n_steps):
+                    if stop.is_set():
+                        return
+                    ld = None if load is None else load(m)
+                    solve(rhs(slot(m), ld, bt), slot(m + 1))
+                    handoff.put((ld, None))
+            except BaseException as exc:       # raised again by take()
+                handoff.put((None, exc))
+
+        def take():
+            """load(m), once x~_{m+1} is in its slot."""
+            ld, exc = handoff.get()
+            if exc is not None:
+                raise exc
+            return ld
+
+        b, sx, corr = np.empty((3, width))
+        rhs, solve = self._rhs(dt), lu.column_solver()
+        worker = threading.Thread(target=unrefined_chain, name="unrefined-chain", daemon=True)
+        worker.start()
+        try:
+            rhs(row(0), take(), b)                 # b_1, from the exact x_0
+            for m in range(1, n_steps):
+                xt = slot(m)
+                np.subtract(b, fem.csr_matvec(matrix, xt, sx), out=b)     # r_m
+                x = row(m)
+                np.add(xt, solve(b, corr), out=x)  # refined x_m
+                rhs(x, take(), b)                  # b_{m+1}
+                yield m
+        finally:
+            # a worker blocked on a full queue finds room, then sees the stop
+            stop.set()
+            while not handoff.empty():
+                handoff.get_nowait()
+            worker.join()
+        self._last_step(lu, b, slot(n_steps), row(n_steps))
+        yield n_steps
+
+    def state_vector(self, u: Field, bubble: np.ndarray | None = None) -> np.ndarray:
+        """The full dof vector of velocity ``u`` (with bubble coefficients
+        ``bubble``, else zero) and zero pressure, a march's start."""
+        return np.concatenate([StokesState(u, Field.zeros(self.mesh, 1), 0.0,
+                                           bubble=bubble).uvec(), np.zeros(self.np_)])
 
     def march(self, dt: float, x0: np.ndarray, n_steps: int, load=None) -> np.ndarray:
         """The whole backward-Euler solution stack of
@@ -428,9 +572,8 @@ def step_linear(state: StokesState, data: StokesData, dt: float,
     """One backward-Euler step of the linear two-phase Stokes system."""
     mesh = state.u.mesh
     ws = workspace or StokesWorkspace(mesh, params)
-    x0 = np.concatenate([state.uvec(), np.zeros(ws.np_)])
     load = ws.step_load(data)
-    sol = ws.march(dt, x0, 1, lambda m: load)[1]
+    sol = ws.march(dt, ws.state_vector(state.u, state.bubble), 1, lambda m: load)[1]
     qnew = Field(mesh, 1, sol[ws.nu:][:, None])
     return StokesState.from_uvec(mesh, sol[:ws.nu], qnew, state.t + dt)
 
@@ -552,9 +695,7 @@ def run_linear(u0: Field, n_steps: int, dt: float, params: MaterialParams,
     else:
         fixed = ws.step_load(data)
         load = lambda m: fixed                     # noqa: E731
-    x0 = np.concatenate([StokesState(u0, Field.zeros(mesh, 1), 0.0, bubble=bubble0).uvec(),
-                         np.zeros(ws.np_)])
-    blocks = ws.march_blocks(dt, x0, n_steps, load)
+    blocks = ws.march_blocks(dt, ws.state_vector(u0, bubble0), n_steps, load)
     n = n_steps + 1
     steps = np.union1d(np.arange(0, n, keep_every or n), [n - 1])
     held = np.empty((len(steps), nu + ws.np_))

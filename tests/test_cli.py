@@ -255,6 +255,23 @@ def test_snapshot_setting_does_not_change_the_diagnostics(tmp_path):
     assert "snapshot_every" in str(err.value)
 
 
+def test_manifest_records_the_step_loop(tmp_path, monkeypatch):
+    from lagstokes import stepper
+    written = {}
+    for min_fill, loop in ((stepper.TWO_THREAD_MIN_FILL, "pair"), (0, "two-thread")):
+        monkeypatch.setattr(stepper, "TWO_THREAD_MIN_FILL", min_fill)
+        for module in (stepper, cli):
+            monkeypatch.setattr(module, "usable_cpus", lambda: 2)
+        cfg = parse_config(write_cfg(tmp_path, SMALL))
+        cfg.out_dir = tmp_path / loop
+        assert run_subcommand(cfg, "solve-linear") == 0
+        lines = (cfg.out_dir / "manifest.txt").read_text().splitlines()
+        assert "cpu.usable 2" in lines and f"march.step_loop {loop}" in lines
+        written[loop] = (cfg.out_dir / "diagnostics.csv").read_bytes()
+    # the two loops write the same bytes
+    assert written["pair"] == written["two-thread"]
+
+
 def test_solve_global_writes_segment_record(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, SMALL + "[iteration]\nhorizon = 1.5\n"))
     cfg.out_dir = tmp_path / "glob"

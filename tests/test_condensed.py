@@ -65,6 +65,20 @@ def test_pair_solver_is_bit_equal_to_the_two_column_solve(ws):
     assert np.array_equal(out.T, lu.solve_unrefined(rhs))
 
 
+def test_column_solver_is_bit_equal_to_each_column_of_the_pair_solver(ws):
+    # the two-thread march solves one column per thread
+    lu = ws.step_factorization(0.05)
+    rhs = np.random.default_rng(19).standard_normal((2, ws.nu + ws.np_))
+    pair = np.full((2, ws.nu + ws.np_), np.nan)
+    lu.pair_solver()(rhs[0], rhs[1], pair[0], pair[1])
+    solve = lu.column_solver()
+    for j in range(2):
+        out = np.full(ws.nu + ws.np_, np.nan)
+        assert solve(rhs[j], out) is out
+        assert np.array_equal(out, pair[j])
+        assert np.array_equal(out, lu.solve_unrefined(rhs[j]))
+
+
 def test_csr_matvec_is_bit_equal_to_the_product(ws):
     lu = ws.step_factorization(0.05)
     x = np.random.default_rng(17).standard_normal(ws.nu + ws.np_)

@@ -1,14 +1,16 @@
-"""The backward-Euler march with pipelined refinement, and its stream of
-blocks."""
+"""The backward-Euler march with pipelined refinement, its two step loops,
+and its stream of blocks."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lagstokes import fem
-from lagstokes.errors import ParameterError, StateLookupError
+from lagstokes import fem, stepper
+from lagstokes.errors import ParameterError, SolverError, StateLookupError
 from lagstokes.fixedpoint import NonlinearRHS, _momentum_rhs, _solve_correction
 from lagstokes.mesh import Field, build_two_phase_disk
 from lagstokes.stepper import StokesData, StokesState, StokesWorkspace, run_linear, step_linear
@@ -272,3 +274,127 @@ def test_stream_holds_no_solution_stack():
     stack_bytes = (n_steps + 1) * (ws.nu + ws.np_) * 8
     assert traj.steps.tolist() == [0, n_steps]
     assert peak < stack_bytes / 3, peak / stack_bytes
+
+
+# -- the two step loops -------------------------------------------------------------
+
+def force_loop(monkeypatch, kind):
+    monkeypatch.setattr(stepper, "step_loop", lambda lu: kind)
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["zero", "loaded"])
+@pytest.mark.parametrize("dt", DTS)
+def test_two_thread_loop_is_bit_equal_to_the_pair_loop(ws, dt, loaded, monkeypatch):
+    n_steps = 60                               # three blocks
+    rng = np.random.default_rng(15)
+    x0 = rng.standard_normal(ws.nu + ws.np_)
+    loads = rng.standard_normal((n_steps, ws.nu + ws.np_))
+    load = (lambda m: loads[m]) if loaded else None
+    runs = []
+    for kind in ("pair", "two-thread"):
+        force_loop(monkeypatch, kind)
+        blocks = [(start, rows.copy()) for start, rows in ws.march_blocks(dt, x0, n_steps, load)]
+        runs.append((blocks, ws.march(dt, x0, n_steps, load)))
+    (pair_blocks, pair), (thread_blocks, threaded) = runs
+    assert [start for start, _ in thread_blocks] == [start for start, _ in pair_blocks]
+    for (_, a), (_, b) in zip(thread_blocks, pair_blocks):
+        assert np.array_equal(a, b)
+    assert np.array_equal(threaded, pair)
+
+
+@pytest.mark.parametrize("kind", ["pair", "two-thread"])
+@pytest.mark.parametrize("bad_step", [0, 3, 5])
+def test_non_finite_load_raises_on_either_loop(ws, kind, bad_step, monkeypatch):
+    # on the two-thread loop the NaN reaches the worker's solve first, and
+    # its SolverError is raised in the caller
+    force_loop(monkeypatch, kind)
+    before = threading.active_count()
+
+    def load(m):
+        ld = np.zeros(ws.nu + ws.np_)
+        ld[0] = np.nan if m == bad_step else 1.0
+        return ld
+
+    with pytest.raises(SolverError):
+        ws.march(0.05, np.zeros(ws.nu + ws.np_), 6, load)
+    assert threading.active_count() == before
+
+
+def test_closing_the_stream_joins_the_worker(ws, monkeypatch):
+    force_loop(monkeypatch, "two-thread")
+    before = threading.active_count()
+    blocks = ws.march_blocks(0.05, np.ones(ws.nu + ws.np_), 60)
+    assert threading.active_count() == before     # no thread before the first block
+    start, rows = next(blocks)
+    assert start == 0 and len(rows) == fem.STACK_BLOCK
+    assert threading.active_count() == before + 1
+    blocks.close()
+    assert threading.active_count() == before
+
+
+def test_load_error_on_the_worker_is_raised_in_the_caller(ws, monkeypatch):
+    force_loop(monkeypatch, "two-thread")
+    before = threading.active_count()
+
+    def load(m):
+        if m == 30:
+            raise KeyError(m)
+        return np.zeros(ws.nu + ws.np_)
+
+    blocks = ws.march_blocks(0.05, np.ones(ws.nu + ws.np_), 60, load)
+    next(blocks)
+    with pytest.raises(KeyError):
+        next(blocks)
+    assert threading.active_count() == before
+
+
+def test_two_thread_loop_under_thread_switching_stress(monkeypatch):
+    # more threads than cores on one shared factor, a thread switch every
+    # microsecond and the smallest ring: a worker that overwrote a slot still
+    # being read, or a hand-over out of order, would change the bits
+    mesh = build_two_phase_disk(3, 12, 0.5, 1.0)
+    ws = StokesWorkspace(mesh, PARAMS)
+    rng = np.random.default_rng(16)
+    n_steps = 60
+    x0 = rng.standard_normal(ws.nu + ws.np_)
+    loads = rng.standard_normal((n_steps, ws.nu + ws.np_))
+    expected = ws.march(0.05, x0, n_steps, lambda m: loads[m])
+    force_loop(monkeypatch, "two-thread")
+    monkeypatch.setattr(stepper, "_HANDOFF_DEPTH", 1)
+    results = [None] * 3
+
+    def run(i):
+        results[i] = ws.march(0.05, x0, n_steps, lambda m: loads[m])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=run, args=(i,)) for i in range(len(results))]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    for xs in results:
+        assert np.array_equal(xs, expected)
+
+
+def test_step_loop_gate(monkeypatch):
+    large = StokesWorkspace(build_two_phase_disk(24, 96, 0.5, 1.0), PARAMS)
+    small = StokesWorkspace(build_two_phase_disk(3, 12, 0.5, 1.0), PARAMS)
+    large_lu, small_lu = large.step_factorization(0.05), small.step_factorization(0.05)
+    assert small_lu.fill < stepper.TWO_THREAD_MIN_FILL <= large_lu.fill
+    for cpus, expected in ((2, "two-thread"), (1, "pair")):
+        monkeypatch.setattr(stepper, "usable_cpus", lambda cpus=cpus: cpus)
+        assert stepper.step_loop(large_lu) == expected
+        assert stepper.step_loop(small_lu) == "pair"
+
+
+def test_usable_cpus_is_the_affinity_set():
+    import os
+    cpus = stepper.usable_cpus()
+    assert cpus >= 1
+    if hasattr(os, "sched_getaffinity"):
+        assert cpus == len(os.sched_getaffinity(0))
