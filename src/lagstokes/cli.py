@@ -275,7 +275,8 @@ def _write_manifest(cfg: RunConfig, extra: dict) -> None:
 
 def _march_facts(ws: StokesWorkspace, dt: float) -> dict:
     """The CPUs this process may use and the step loop its marches at time
-    step dt run (see :func:`lagstokes.stepper.step_loop`)."""
+    step dt start on (see :func:`lagstokes.stepper.step_loop`); a march on
+    two threads may finish on the pair loop."""
     return {"cpu.usable": usable_cpus(), "march.step_loop": step_loop(ws.step_factorization(dt))}
 
 

@@ -26,7 +26,9 @@ the right-hand side of the previous refined state.  On one thread the
 refinement solve of one step and the unrefined solve of the next share one
 two-column triangular solve; with a large step factor and two usable CPUs
 (:func:`step_loop`) a worker thread runs the unrefined chain ahead while
-the calling thread refines, and both give the same bits.  The march hands
+the calling thread refines, until the process is seen to get less than
+the CPU time that needs and the march falls back to the pair solve.  Both
+loops give the same bits.  The march hands
 the states over in blocks, so ``run_linear`` reduces them to its series as
 they come and keeps copies of only the states it is asked for.  The
 stationary resolvent solves keep a pivoted LU of the full saddle, since
@@ -41,6 +43,7 @@ from __future__ import annotations
 import os
 import queue
 import threading
+import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -66,6 +69,16 @@ _KORN_SHIFT = -0.1
 TWO_THREAD_MIN_FILL = 750_000
 # Hand-overs the worker of the two-thread step loop may run ahead by.
 _HANDOFF_DEPTH = 4
+# A march on two threads checks, after every _CHECK_EVERY steps, that the
+# process ran on at least _MIN_PARALLELISM CPUs on average (its CPU time over
+# the wall time), and runs the rest of its steps on the pair loop if not.
+# At 24x96 the two-thread loop spends about 1.5 times the pair loop's CPU
+# time, so with less parallelism than that it is the slower loop: with a
+# competing busy process, one BLAS thread on two vCPUs, it ran at 1.2 CPUs
+# and took 1.1 times the pair loop's time, against 1.9 CPUs and 0.8 times
+# with the second core free.
+_CHECK_EVERY = 20
+_MIN_PARALLELISM = 1.5
 
 
 def usable_cpus() -> int:
@@ -77,9 +90,9 @@ def usable_cpus() -> int:
 
 
 def step_loop(lu: fem.CondensedSaddle) -> str:
-    """The step loop a march with the step factor ``lu`` runs: "two-thread"
-    for a large factor when two CPUs are usable, else "pair" (see
-    :meth:`StokesWorkspace.march_blocks`)."""
+    """The step loop a march with the step factor ``lu`` starts on:
+    "two-thread" for a large factor when two CPUs are usable, else "pair"
+    (see :meth:`StokesWorkspace.march_blocks`)."""
     if lu.fill >= TWO_THREAD_MIN_FILL and usable_cpus() >= 2:
         return "two-thread"
     return "pair"
@@ -226,11 +239,19 @@ class StokesWorkspace:
         its result over with x~_{m+1}; the calling thread refines and
         streams the blocks.  SuperLU's triangular solves and the sparse
         products release the GIL, so the two one-column solves of a step
-        run at once.  A one-column solve gives the same bits as its column
-        of the two-column solve, so both loops deliver the same states.  An
-        exception on the worker (from ``load`` or a non-finite solve) is
-        raised in the caller, and the worker is stopped and joined when the
-        march ends, fails or its stream is closed.
+        run at once.  Every ``_CHECK_EVERY`` steps the calling thread checks
+        that the process had ``_MIN_PARALLELISM`` CPUs on average since the
+        last check; if not (a second core busy elsewhere), the pair loop
+        runs the rest of the march.  A one-column solve gives the same bits
+        as its column of the two-column solve, so the loops deliver the
+        same states wherever the march changes loop.  An exception on the
+        worker (from ``load`` or a non-finite solve) is raised in the
+        caller, and the worker is stopped and joined when the march ends,
+        falls back, fails or its stream is closed.  ``load`` is then called
+        on the worker, up to ``_HANDOFF_DEPTH`` + 1 steps ahead of the
+        delivered state, possibly for steps that a stream closed early
+        never delivers, and once more on this thread for the steps the
+        worker ran ahead of a fall back.
         """
         if dt <= 0:
             raise ParameterError(f"dt must be positive, got {dt}")
@@ -241,8 +262,8 @@ class StokesWorkspace:
 
     def _blocks(self, lu: fem.CondensedSaddle, dt: float, x0: np.ndarray,
                 n_steps: int, load):
-        """The block stream of :meth:`march_blocks`, filled by the step loop
-        that :func:`step_loop` selects for the factor."""
+        """The block stream of :meth:`march_blocks`, filled by the step loops
+        that :func:`step_loop` allows for the factor."""
         rows = np.empty((min(n_steps + 1, fem.STACK_BLOCK + 1), self.nu + self.np_))
         rows[0] = x0
         if n_steps == 0:
@@ -250,9 +271,8 @@ class StokesWorkspace:
             return
         blocks = iter(fem.stream_blocks(n_steps + 1))
         start, end = next(blocks)
-        loop = self._two_thread_steps if step_loop(lu) == "two-thread" else self._pair_steps
-        # the loop writes state m into rows[m - start] of the current block
-        steps = loop(lu, dt, n_steps, load, lambda m: rows[m - start])
+        # the loops write state m into rows[m - start] of the current block
+        steps = self._steps(lu, dt, n_steps, load, lambda m: rows[m - start])
         try:
             for m in steps:
                 if m + 1 == end:
@@ -260,6 +280,20 @@ class StokesWorkspace:
                     start, end = next(blocks, (None, None))
         finally:
             steps.close()
+
+    def _steps(self, lu: fem.CondensedSaddle, dt: float, n_steps: int, load, row):
+        """States 1..n_steps written into row(m), m yielded after each: the
+        first and last steps here, the others through the two-thread loop
+        when :func:`step_loop` allows it and while the process gets the CPU
+        time it needs, and through the pair loop."""
+        chains = _Chains(self, lu, dt, load, row)
+        chains.first()
+        m = 1
+        if n_steps > 1 and step_loop(lu) == "two-thread":
+            m = yield from chains.two_thread(1, n_steps)
+        yield from chains.pair(m, n_steps)
+        chains.last(n_steps)
+        yield n_steps
 
     def _rhs(self, dt: float):
         """rhs(x, ld, out): out = [M x_u / dt, 0] + ld, with ld None for zero
@@ -277,96 +311,6 @@ class StokesWorkspace:
             return out
 
         return rhs
-
-    @staticmethod
-    def _last_step(lu: fem.CondensedSaddle, b: np.ndarray, xt: np.ndarray, out: np.ndarray):
-        """The refinement of the last state, whose successor is not solved."""
-        out[:] = xt + lu.solve_unrefined(b - lu.matrix @ xt)
-
-    def _pair_steps(self, lu: fem.CondensedSaddle, dt: float, n_steps: int, load, row):
-        """The step loop on one thread: states 1..n_steps are written into
-        row(m) and m is yielded after each; the refinement solve of state m
-        and the unrefined solve of state m + 1 share one two-column
-        triangular solve."""
-        matrix = lu.matrix
-        # every step reuses these buffers; b holds b_m, then the residual r_m
-        b, bt, sx, corr, xt_next = np.empty((5, self.nu + self.np_))
-        rhs, solve_pair = self._rhs(dt), lu.pair_solver()
-        ld = None if load is None else load(0)
-        rhs(row(0), ld, b)                         # b_1, from the exact x_0
-        xt = lu.solve_unrefined(b)                 # x~_1
-        for m in range(1, n_steps):
-            ld = None if load is None else load(m)
-            np.subtract(b, fem.csr_matvec(matrix, xt, sx), out=b)     # r_m
-            solve_pair(b, rhs(xt, ld, bt), corr, xt_next)
-            x = row(m)
-            np.add(xt, corr, out=x)                # refined x_m
-            rhs(x, ld, b)                          # b_{m+1}
-            xt, xt_next = xt_next, xt              # x~_{m+1}
-            yield m
-        self._last_step(lu, b, xt, row(n_steps))
-        yield n_steps
-
-    def _two_thread_steps(self, lu: fem.CondensedSaddle, dt: float, n_steps: int, load,
-                          row):
-        """The step loop of :meth:`_pair_steps` with its two chains on two
-        threads.  A worker runs the unrefined chain
-        x~_{m+1} = S~^-1 (rhs(x~_m) + load(m)) ahead into a ring of state
-        buffers and hands each load(m) over with x~_{m+1}; this thread
-        refines.  The worker stops, and is joined, when the loop ends, fails
-        or is closed, and its exceptions are raised here."""
-        matrix, width = lu.matrix, self.nu + self.np_
-        # slot m % len(ring) holds x~_m; the worker, at most _HANDOFF_DEPTH
-        # hand-overs ahead, never writes the slot this thread reads
-        ring = np.empty((_HANDOFF_DEPTH + 2, width))
-        ring[0] = row(0)
-        handoff = queue.Queue(_HANDOFF_DEPTH)
-        stop = threading.Event()
-
-        def slot(m):
-            return ring[m % len(ring)]
-
-        def unrefined_chain():
-            rhs, solve = self._rhs(dt), lu.column_solver()
-            bt = np.empty(width)
-            try:
-                for m in range(n_steps):
-                    if stop.is_set():
-                        return
-                    ld = None if load is None else load(m)
-                    solve(rhs(slot(m), ld, bt), slot(m + 1))
-                    handoff.put((ld, None))
-            except BaseException as exc:       # raised again by take()
-                handoff.put((None, exc))
-
-        def take():
-            """load(m), once x~_{m+1} is in its slot."""
-            ld, exc = handoff.get()
-            if exc is not None:
-                raise exc
-            return ld
-
-        b, sx, corr = np.empty((3, width))
-        rhs, solve = self._rhs(dt), lu.column_solver()
-        worker = threading.Thread(target=unrefined_chain, name="unrefined-chain", daemon=True)
-        worker.start()
-        try:
-            rhs(row(0), take(), b)                 # b_1, from the exact x_0
-            for m in range(1, n_steps):
-                xt = slot(m)
-                np.subtract(b, fem.csr_matvec(matrix, xt, sx), out=b)     # r_m
-                x = row(m)
-                np.add(xt, solve(b, corr), out=x)  # refined x_m
-                rhs(x, take(), b)                  # b_{m+1}
-                yield m
-        finally:
-            # a worker blocked on a full queue finds room, then sees the stop
-            stop.set()
-            while not handoff.empty():
-                handoff.get_nowait()
-            worker.join()
-        self._last_step(lu, b, slot(n_steps), row(n_steps))
-        yield n_steps
 
     def state_vector(self, u: Field, bubble: np.ndarray | None = None) -> np.ndarray:
         """The full dof vector of velocity ``u`` (with bubble coefficients
@@ -566,6 +510,124 @@ class StokesWorkspace:
                 f"divergence datum inconsistent with flux potential: residual {mismatch:.3e}")
 
 
+class _Chains:
+    """The two chains of one march (:meth:`StokesWorkspace.march_blocks`).
+    Before step m, ``b`` holds b_m and ``slot(m)`` holds x~_m.
+    :meth:`pair` and :meth:`two_thread` each run steps m0..m1-1, write the
+    refined x_m into row(m) and yield m after each, and leave the same bits
+    in ``b`` and the slots, so a march may switch between them at any step.
+    """
+
+    def __init__(self, ws: StokesWorkspace, lu: fem.CondensedSaddle, dt: float, load, row):
+        self.ws, self.lu, self.dt, self.load, self.row = ws, lu, dt, load, row
+        width = ws.nu + ws.np_
+        # slot m % len(slots) holds x~_m; the worker of the two-thread loop,
+        # at most _HANDOFF_DEPTH hand-overs ahead, never writes a slot still read
+        self.slots = list(np.empty((_HANDOFF_DEPTH + 2, width)))
+        # every step reuses these buffers; b holds b_m, then the residual r_m
+        self.b, self.bt, self.sx, self.corr = np.empty((4, width))
+        self.rhs = ws._rhs(dt)
+
+    def slot(self, m: int) -> np.ndarray:
+        return self.slots[m % len(self.slots)]
+
+    def load_of(self, m: int):
+        """load(m), None for zero data."""
+        return None if self.load is None else self.load(m)
+
+    def first(self):
+        """b_1 from the exact x_0, and x~_1."""
+        self.rhs(self.row(0), self.load_of(0), self.b)
+        self.slot(1)[:] = self.lu.solve_unrefined(self.b)
+
+    def last(self, n: int):
+        """The refinement of the last state, whose successor is not solved."""
+        xt = self.slot(n)
+        self.row(n)[:] = xt + self.lu.solve_unrefined(self.b - self.lu.matrix @ xt)
+
+    def pair(self, m0: int, m1: int):
+        """Both chains on this thread: the refinement solve of x_m and the
+        unrefined solve of x~_{m+1} share one two-column triangular solve."""
+        matrix, rhs, solve_pair = self.lu.matrix, self.rhs, self.lu.pair_solver()
+        b, bt, sx, corr = self.b, self.bt, self.sx, self.corr
+        load, row, slots = self.load, self.row, self.slots
+        for m in range(m0, m1):
+            xt, xt_next = slots[m % len(slots)], slots[(m + 1) % len(slots)]
+            ld = None if load is None else load(m)
+            np.subtract(b, fem.csr_matvec(matrix, xt, sx), out=b)     # r_m
+            solve_pair(b, rhs(xt, ld, bt), corr, xt_next)            # x~_{m+1}
+            x = row(m)
+            np.add(xt, corr, out=x)                # refined x_m
+            rhs(x, ld, b)                          # b_{m+1}
+            yield m
+
+    def two_thread(self, m0: int, m1: int):
+        """The unrefined chain on a worker thread, which runs
+        x~_{m+1} = S~^-1 (rhs(x~_m) + load(m)) ahead and hands load(m) over
+        once x~_{m+1} is in its slot; this thread refines.  After every
+        _CHECK_EVERY steps it stops if the process had fewer than
+        _MIN_PARALLELISM CPUs on average, the caller's work between steps
+        included, and returns the first step it did not run.  The worker
+        stops, and is joined, when the loop ends, stops, fails or is closed,
+        and its exceptions are raised here."""
+        lu, slot, width = self.lu, self.slot, self.b.size
+        handoff = queue.Queue(_HANDOFF_DEPTH)
+        stop = threading.Event()
+
+        def unrefined_chain():
+            rhs, solve = self.ws._rhs(self.dt), lu.column_solver()
+            bt = np.empty(width)
+            try:
+                for m in range(m0, m1):
+                    if stop.is_set():
+                        return
+                    ld = self.load_of(m)
+                    solve(rhs(slot(m), ld, bt), slot(m + 1))
+                    handoff.put((ld, None))
+            except BaseException as exc:       # raised again by take()
+                handoff.put((None, exc))
+
+        def take():
+            """load(m), once x~_{m+1} is in its slot."""
+            ld, exc = handoff.get()
+            if exc is not None:
+                raise exc
+            return ld
+
+        matrix, b, sx, corr, rhs = lu.matrix, self.b, self.sx, self.corr, self.rhs
+        solve = lu.column_solver()
+        worker = threading.Thread(target=unrefined_chain, name="unrefined-chain", daemon=True)
+        worker.start()
+        try:
+            wall, cpu = _clocks()
+            for m in range(m0, m1):
+                xt = slot(m)
+                np.subtract(b, fem.csr_matvec(matrix, xt, sx), out=b)     # r_m
+                x = self.row(m)
+                np.add(xt, solve(b, corr), out=x)  # refined x_m
+                rhs(x, take(), b)                  # b_{m+1}
+                yield m
+                if (m + 1 - m0) % _CHECK_EVERY == 0:
+                    now, cpu_now = _clocks()
+                    if cpu_now - cpu < _MIN_PARALLELISM * (now - wall):
+                        return m + 1
+                    wall, cpu = now, cpu_now
+            return m1
+        finally:
+            # a worker blocked on a full queue finds room, then sees the stop;
+            # after this thread's step m it writes at most x~_{m+2+depth},
+            # into x~_m's slot, so x~_{m+1} stays for the pair loop
+            stop.set()
+            while not handoff.empty():
+                handoff.get_nowait()
+            worker.join()
+
+
+def _clocks() -> tuple[float, float]:
+    """Wall time and this process's CPU time, in seconds."""
+    return time.perf_counter(), time.process_time()
+
+
 def step_linear(state: StokesState, data: StokesData, dt: float,
                 params: MaterialParams,
                 workspace: StokesWorkspace | None = None) -> StokesState:
@@ -682,6 +744,12 @@ def run_linear(u0: Field, n_steps: int, dt: float, params: MaterialParams,
     ``keep_every``-th state and the last state; None holds only the first
     and the last, and 1 holds every state.  No stack of every state is made
     unless every state is held.
+
+    A callable ``data`` is called in step order.  On a step factor that
+    the march runs on two threads (:meth:`StokesWorkspace.march_blocks`) it
+    may be called from the worker thread, a few steps ahead of the state
+    being delivered, and a march that falls back to one thread calls it
+    again for those steps, so it should depend on the step index alone.
     """
     mesh = u0.mesh
     ws = workspace or StokesWorkspace(mesh, params)

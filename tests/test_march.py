@@ -1,6 +1,7 @@
 """The backward-Euler march with pipelined refinement, its two step loops,
 and its stream of blocks."""
 
+import itertools
 import sys
 import threading
 import tracemalloc
@@ -279,7 +280,34 @@ def test_stream_holds_no_solution_stack():
 # -- the two step loops -------------------------------------------------------------
 
 def force_loop(monkeypatch, kind):
+    """Run every march on one loop: the gate's choice, and for two threads
+    no check of the CPU time."""
     monkeypatch.setattr(stepper, "step_loop", lambda lu: kind)
+    if kind == "two-thread":
+        monkeypatch.setattr(stepper, "_CHECK_EVERY", 10**9)
+
+
+def fall_back_after(monkeypatch, steps, parallelism=0.0):
+    """Let the gate allow two threads, check every ``steps`` steps and report
+    ``parallelism`` CPUs' worth of time; return the list that records the
+    step the pair loop starts at."""
+    monkeypatch.setattr(stepper, "step_loop", lambda lu: "two-thread")
+    monkeypatch.setattr(stepper, "_CHECK_EVERY", steps)
+    ticks = itertools.count()
+
+    def clocks():
+        wall = float(next(ticks))
+        return wall, parallelism * wall
+
+    monkeypatch.setattr(stepper, "_clocks", clocks)
+    starts, pair = [], stepper._Chains.pair
+
+    def recorded(chains, m0, m1):
+        starts.append(m0)
+        return pair(chains, m0, m1)
+
+    monkeypatch.setattr(stepper._Chains, "pair", recorded)
+    return starts
 
 
 @pytest.mark.parametrize("loaded", [False, True], ids=["zero", "loaded"])
@@ -305,8 +333,8 @@ def test_two_thread_loop_is_bit_equal_to_the_pair_loop(ws, dt, loaded, monkeypat
 @pytest.mark.parametrize("kind", ["pair", "two-thread"])
 @pytest.mark.parametrize("bad_step", [0, 3, 5])
 def test_non_finite_load_raises_on_either_loop(ws, kind, bad_step, monkeypatch):
-    # on the two-thread loop the NaN reaches the worker's solve first, and
-    # its SolverError is raised in the caller
+    # past step 0 the NaN reaches the worker's solve first on the two-thread
+    # loop, and its SolverError is raised in the caller
     force_loop(monkeypatch, kind)
     before = threading.active_count()
 
@@ -381,8 +409,56 @@ def test_two_thread_loop_under_thread_switching_stress(monkeypatch):
         assert np.array_equal(xs, expected)
 
 
-def test_step_loop_gate(monkeypatch):
-    large = StokesWorkspace(build_two_phase_disk(24, 96, 0.5, 1.0), PARAMS)
+@pytest.mark.parametrize("steps", [1, 2, 7, 24])
+def test_falling_back_at_any_step_keeps_the_bits(ws, steps, monkeypatch):
+    n_steps = 60
+    rng = np.random.default_rng(18)
+    x0 = rng.standard_normal(ws.nu + ws.np_)
+    loads = rng.standard_normal((n_steps, ws.nu + ws.np_))
+    force_loop(monkeypatch, "pair")
+    expected = ws.march(0.05, x0, n_steps, lambda m: loads[m])
+    before = threading.active_count()
+    starts = fall_back_after(monkeypatch, steps)
+    assert np.array_equal(ws.march(0.05, x0, n_steps, lambda m: loads[m]), expected)
+    assert starts == [1 + steps]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("parallelism, start", [(1.6, 60), (2.0, 60), (1.4, 8)])
+def test_two_thread_loop_runs_while_the_process_has_the_cpus(ws, parallelism, start,
+                                                             monkeypatch):
+    # the pair loop takes over only below _MIN_PARALLELISM CPUs
+    assert stepper._MIN_PARALLELISM == 1.5
+    starts = fall_back_after(monkeypatch, 7, parallelism)
+    ws.march(0.05, np.ones(ws.nu + ws.np_), 60)
+    assert starts == [start]
+
+
+@pytest.fixture(scope="module")
+def large_ws():
+    """24x96, whose step factor the gate gives two threads."""
+    return StokesWorkspace(build_two_phase_disk(24, 96, 0.5, 1.0), PARAMS)
+
+
+def test_loops_keep_the_bits_above_the_gate(large_ws, monkeypatch):
+    # the sizes where the two-thread loop runs: a one-column solve there must
+    # give its column of the two-column solve
+    ws, n_steps = large_ws, 30
+    rng = np.random.default_rng(20)
+    x0 = rng.standard_normal(ws.nu + ws.np_)
+    loads = rng.standard_normal((n_steps, ws.nu + ws.np_))
+    assert ws.step_factorization(0.05).fill >= stepper.TWO_THREAD_MIN_FILL
+    force_loop(monkeypatch, "pair")
+    expected = ws.march(0.05, x0, n_steps, lambda m: loads[m])
+    force_loop(monkeypatch, "two-thread")
+    assert np.array_equal(ws.march(0.05, x0, n_steps, lambda m: loads[m]), expected)
+    starts = fall_back_after(monkeypatch, 7)
+    assert np.array_equal(ws.march(0.05, x0, n_steps, lambda m: loads[m]), expected)
+    assert starts == [8]
+
+
+def test_step_loop_gate(large_ws, monkeypatch):
+    large = large_ws
     small = StokesWorkspace(build_two_phase_disk(3, 12, 0.5, 1.0), PARAMS)
     large_lu, small_lu = large.step_factorization(0.05), small.step_factorization(0.05)
     assert small_lu.fill < stepper.TWO_THREAD_MIN_FILL <= large_lu.fill
