@@ -59,7 +59,6 @@ _SCHEMA = {
         "fp_tol": ("1e-11", float),
         "max_iters": ("30", int),
         "kappa_cap": ("0.5", float),
-        "gamma0": ("1.0", float),
         "eps0": ("0.0", float),
         "c_cal": ("1.0", float),
         "a_cal": ("1.0", float),
@@ -124,7 +123,7 @@ class RunConfig:
             return IterationConfig(
                 p=v["p"], q=v["q"], dt=s["dt"], horizon=v["horizon"],
                 L_bound=v["l_bound"], fp_tol=v["fp_tol"], max_iters=v["max_iters"],
-                kappa_cap=v["kappa_cap"], gamma0=v["gamma0"], eps0=v["eps0"],
+                kappa_cap=v["kappa_cap"], eps0=v["eps0"],
                 C_cal=v["c_cal"], a_cal=v["a_cal"],
                 contraction_target=v["contraction_target"],
                 min_steps=v["min_steps"], smallness=v["smallness"])

@@ -266,6 +266,14 @@ def facet_l2(facet_nodes: np.ndarray, facet_lengths: np.ndarray, f: np.ndarray):
     return _sqrt_nonneg(facet_inner(facet_nodes, facet_lengths, f, f))
 
 
+def boundary_l2(mesh: RefMesh, values: np.ndarray, interface: bool):
+    """Surface L2 norm on Gamma (``interface`` true) or Gamma_plus of P1
+    values given per boundary node, ([n_steps,] n_boundary_nodes, ncomp);
+    one norm per step of a stack."""
+    _, ends, lengths = mesh.boundary(interface)
+    return facet_l2(ends, lengths, mesh.boundary_nodal(values, interface))
+
+
 # -- cell gradients and nodal recovery --------------------------------------
 
 def apply_sparse(op: sp.spmatrix, arr: np.ndarray, axis: int) -> np.ndarray:

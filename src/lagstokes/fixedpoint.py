@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fem, kernel
 from .errors import (DomainError, GeometryError, NonContractionError,
-                     ParameterError, ValidationError)
+                     ParameterError, ShapeError, ValidationError)
 from .mesh import Field
 from .stepper import StokesWorkspace, Trajectory
 from .transmission import MaterialParams, helmholtz_project, project_out_rigid, rigid_momenta
@@ -88,8 +88,7 @@ class IterationConfig:
     """Parameters of the fixed-point solver.
 
     ``L_bound = 0`` measures the bound from the linear solve; ``eps0 = 0``
-    derives the decay weight from the discrete spectral gap.  ``gamma0``
-    is the exponential bookkeeping weight of the extension bounds.
+    derives the decay weight from the discrete spectral gap.
     """
 
     p: float = 2.0
@@ -100,7 +99,6 @@ class IterationConfig:
     fp_tol: float = 1e-11
     max_iters: int = 30
     kappa_cap: float = 0.5
-    gamma0: float = 1.0
     eps0: float = 0.0
     C_cal: float = 1.0
     a_cal: float = 1.0
@@ -115,8 +113,6 @@ class IterationConfig:
             raise ValidationError("dt must be positive", field="dt")
         if self.horizon <= 0:
             raise ValidationError("horizon must be positive", field="horizon")
-        if self.gamma0 < 1.0:
-            raise ValidationError("gamma0 must be >= 1", field="gamma0")
         if not (0 < self.kappa_cap < 1):
             raise ValidationError("kappa_cap must lie in (0, 1)", field="kappa_cap")
         if self.fp_tol <= 0:
@@ -256,9 +252,9 @@ def compute_nonlinear_terms(u_hist, q_hist, A: kernel.CofactorField,
     n_eval = len(A_n)
     mesh, hist = _history(u_hist, n_eval + 1)
     if A.mesh is not mesh:
-        _raise_shape()
+        raise ShapeError("cofactor field and velocity live on different meshes")
     if len(hist) < n_eval:
-        _raise_shape("history is shorter than the cofactor stack")
+        raise ShapeError("history is shorter than the cofactor stack")
     u_vals = hist[-n_eval:]
     q_vals = _history(q_hist, n_eval)[1]
     u = Field(mesh, 2, u_vals)
@@ -352,11 +348,6 @@ def _facet_corrections(mesh, tu_c: np.ndarray, a_c: np.ndarray):
             kernel.from_vector_planes(j[..., 2 * ni:]))
 
 
-def _raise_shape(msg: str = "cofactor field and velocity live on different meshes"):
-    from .errors import ShapeError
-    raise ShapeError(msg)
-
-
 def _eye_minus(planes: np.ndarray) -> np.ndarray:
     """I - A of a component-plane stack."""
     out = -planes
@@ -370,10 +361,8 @@ def _traction_defects(mesh, g_n, a_n, q_dof, mu_s, nbar):
     T(u,q) n - T_A(u,q) nbar from nodal traces, per time of the stacks
     q_dof and of the component planes g_n and a_n.  The plus, minus and
     outer traces go through each product together."""
-    gn, on = mesh.gamma_nodes, mesh.gamma_plus_nodes
-    ng = len(gn)
-    outer = mesh.sdof_minus[on] if mesh.outer_phase < 0 else mesh.sdof_plus[on]
-    sdofs = np.concatenate([mesh.sdof_plus[gn], mesh.sdof_minus[gn], outer])
+    ng = len(mesh.gamma_nodes)
+    sdofs = mesh.trace_sdofs
     n_fixed = kernel.vector_planes(np.concatenate(
         [mesh.node_normals_gamma, mesh.node_normals_gamma, mesh.node_normals_outer]))[:, None]
     n_bar = kernel.vector_planes(np.concatenate([nbar.gamma, nbar.gamma, nbar.outer], axis=-2))
@@ -421,25 +410,15 @@ def _xi_norms(mesh, u: Field, rhs: NonlinearRHS | None, params, dt, p,
     mu_s = params.mu_sdofs(mesh) if mu_nodal is None else mu_nodal.values[:, 0]
     G = fem.recover_gradient(u)
     D = G + np.swapaxes(G, -1, -2)
-    gn, on = mesh.gamma_nodes, mesh.gamma_plus_nodes
     nrm, onrm = mesh.node_normals_gamma, mesh.node_normals_outer
-    sd = mesh.sdof_plus[gn]
+    sd, osd = mesh.sdof_plus[mesh.gamma_nodes], mesh.outer_sdofs
     xi = mu_s[sd] * np.sum(nrm * kernel.apply2x2(D[:, sd], nrm), axis=-1)
-    osd = mesh.sdof_minus[on] if mesh.outer_phase < 0 else mesh.sdof_plus[on]
     xio = mu_s[osd] * np.sum(onrm * kernel.apply2x2(D[:, osd], onrm), axis=-1)
     if rhs is not None:
         xi[1:] -= np.sum(rhs.h_jump * nrm, axis=-1)
         xio[1:] -= np.sum(rhs.k * onrm, axis=-1)
-
-    def surface_norms(vals, nodes, facets, lengths):
-        full = np.zeros((len(vals), mesh.n_nodes, 1))
-        full[:, nodes, 0] = vals
-        return fem.facet_l2(facets[:, :2], lengths, full)
-
-    ni = mesh.n_interface_facets
-    xi_series = surface_norms(xi, gn, mesh.interface_facets, mesh.facet_lengths[:ni])
-    xio_series = surface_norms(xio, on, mesh.outer_facets, mesh.facet_lengths[ni:])
-    return _lp(xi_series, dt, p), _lp(xio_series, dt, p)
+    return (_lp(fem.boundary_l2(mesh, xi[..., None], True), dt, p),
+            _lp(fem.boundary_l2(mesh, xio[..., None], False), dt, p))
 
 
 # -- the Picard loop --------------------------------------------------------------

@@ -354,11 +354,8 @@ def pushforward_normal(A: CofactorField, mesh: RefMesh,
     On Gamma the two traces of A are averaged before applying, keeping the
     transformed normal single-valued on the interface.
     """
-    outer_sdofs = mesh.sdof_minus if mesh.outer_phase < 0 else mesh.sdof_plus
     ng = len(mesh.gamma_nodes)
-    traces = to_planes(A.mats[..., np.concatenate([mesh.sdof_plus[mesh.gamma_nodes],
-                                                   mesh.sdof_minus[mesh.gamma_nodes],
-                                                   outer_sdofs[mesh.gamma_plus_nodes]]), :, :])
+    traces = to_planes(A.mats[..., mesh.trace_sdofs, :, :])
     gm = 0.5 * (traces[..., :ng] + traces[..., ng:2 * ng])
     gvec = apply_planes(gm, vector_planes(mesh.node_normals_gamma))
     ovec = apply_planes(traces[..., 2 * ng:], vector_planes(mesh.node_normals_outer))

@@ -36,6 +36,12 @@ class RefMesh:
     Facet ids are global: interface facets come first (0 .. n_interface-1),
     then outer facets.  Interface facets store the adjacent plus and minus
     cells; outer facets store their single owner cell.
+
+    The mesh owns the layout of the two boundaries: :meth:`boundary` gives
+    the nodes, facets and facet lengths of Gamma or Gamma_plus, and
+    ``outer_sdofs`` the scalar dof of the outer phase at each Gamma_plus
+    node.  Nodal traces are gathered at ``trace_sdofs``: the plus side of
+    Gamma, then its minus side, then Gamma_plus.
     """
 
     nodes: np.ndarray            # (nn, 2)
@@ -57,6 +63,8 @@ class RefMesh:
     sdof_minus: np.ndarray = dc_field(default=None, repr=False)
     cell_sdofs: np.ndarray = dc_field(default=None, repr=False)
     sdof_phase: np.ndarray = dc_field(default=None, repr=False)
+    outer_sdofs: np.ndarray = dc_field(default=None, repr=False)  # (n_gamma_plus_nodes,)
+    trace_sdofs: np.ndarray = dc_field(default=None, repr=False)  # (2 ng + n_gamma_plus_nodes,)
     node_normals_gamma: np.ndarray = dc_field(default=None, repr=False)
     node_normals_outer: np.ndarray = dc_field(default=None, repr=False)
 
@@ -74,7 +82,8 @@ class RefMesh:
         for name in ("nodes", "cells", "phase", "interface_facets", "outer_facets",
                      "gamma_nodes", "gamma_plus_nodes", "areas", "grads",
                      "facet_normals", "facet_lengths", "sdof_plus", "sdof_minus",
-                     "cell_sdofs", "sdof_phase", "node_normals_gamma", "node_normals_outer"):
+                     "cell_sdofs", "sdof_phase", "outer_sdofs", "trace_sdofs",
+                     "node_normals_gamma", "node_normals_outer"):
             getattr(self, name).flags.writeable = False
 
     # -- construction helpers -------------------------------------------------
@@ -111,7 +120,12 @@ class RefMesh:
             sdof_phase[cell_sdofs[:, a]] = self.phase
         sdof_phase[sdof_plus[gamma_nodes]] = 1
         sdof_phase[sdof_minus[gamma_nodes]] = -1
+        # the Gamma_plus trace lives on the dof of the outer phase's side
+        outer_sdofs = (sdof_minus if self.outer_phase < 0 else sdof_plus)[gamma_plus_nodes]
         object.__setattr__(self, "sdof_phase", sdof_phase)
+        object.__setattr__(self, "outer_sdofs", outer_sdofs)
+        object.__setattr__(self, "trace_sdofs", np.concatenate(
+            [sdof_plus[gamma_nodes], sdof_minus[gamma_nodes], outer_sdofs]))
         object.__setattr__(self, "gamma_nodes", gamma_nodes)
         object.__setattr__(self, "gamma_plus_nodes", gamma_plus_nodes)
         object.__setattr__(self, "sdof_plus", sdof_plus)
@@ -163,6 +177,31 @@ class RefMesh:
     def nsdof(self) -> int:
         """Scalar dof count: one per node plus one extra per interface node."""
         return self.n_nodes + len(self.gamma_nodes)
+
+    @cached_property
+    def _boundaries(self) -> dict:
+        ni = self.n_interface_facets
+        return {True: (self.gamma_nodes, self.interface_facets[:, :2], self.facet_lengths[:ni]),
+                False: (self.gamma_plus_nodes, self.outer_facets[:, :2],
+                        self.facet_lengths[ni:])}
+
+    def boundary(self, interface: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(nodes, facet end nodes (nf, 2), facet lengths) of Gamma
+        (``interface`` true) or of Gamma_plus; read-only views."""
+        return self._boundaries[interface]
+
+    def boundary_nodal(self, values: np.ndarray, interface: bool) -> np.ndarray:
+        """Per-node array ([n_steps,] n_nodes, ncomp) holding ``values``,
+        given per node of Gamma or Gamma_plus as ([n_steps,] n_boundary_nodes,
+        ncomp), on that boundary's nodes and zero elsewhere."""
+        nodes = self.boundary(interface)[0]
+        values = np.asarray(values, dtype=float)
+        if values.ndim not in (2, 3) or values.shape[-2] != len(nodes):
+            raise ShapeError(f"boundary values shape {values.shape} != "
+                             f"([n_steps,] {len(nodes)}, ncomp)")
+        out = np.zeros(values.shape[:-2] + (self.n_nodes, values.shape[-1]))
+        out[..., nodes, :] = values
+        return out
 
     @cached_property
     def free_potential_nodes(self) -> np.ndarray:

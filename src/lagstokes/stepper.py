@@ -129,10 +129,7 @@ class StokesData:
     """Right-hand-side data of one linear step.
 
     ``h`` is the prescribed traction jump on Gamma (per Gamma node) and
-    ``k`` the traction on Gamma_plus (per outer node).  ``stress_ibp`` is
-    an optional cellwise matrix S entering the momentum equation weakly as
-    (S, grad v) - ([[S n]], v)_Gamma - (S n+, v)_Gamma+, the form in which
-    the Lagrangian stress-difference source is assembled.  When ``g`` is
+    ``k`` the traction on Gamma_plus (per outer node).  When ``g`` is
     nonzero a flux potential ``R`` with div R = g must accompany it.
     """
 
@@ -141,7 +138,6 @@ class StokesData:
     R: Field | None = None
     h: np.ndarray | None = None
     k: np.ndarray | None = None
-    stress_ibp: np.ndarray | None = None
 
     @classmethod
     def zero(cls) -> "StokesData":
@@ -380,22 +376,15 @@ class StokesWorkspace:
         load = np.zeros(self.nu)
         if data.f is not None:
             load += self.mass @ fem.field_to_uvec(data.f)
-        if data.h is not None:
-            h = np.asarray(data.h, dtype=float)
-            if h.shape != (len(mesh.gamma_nodes), 2):
-                raise ShapeError("h must be (n_gamma_nodes, 2)")
-            nodal = np.zeros((mesh.n_nodes, 2))
-            nodal[mesh.gamma_nodes] = h
-            load += self._edge_mass_operators[True] @ nodal.ravel()
-        if data.k is not None:
-            k = np.asarray(data.k, dtype=float)
-            if k.shape != (len(mesh.gamma_plus_nodes), 2):
-                raise ShapeError("k must be (n_outer_nodes, 2)")
-            nodal = np.zeros((mesh.n_nodes, 2))
-            nodal[mesh.gamma_plus_nodes] = k
-            load += self._edge_mass_operators[False] @ nodal.ravel()
-        if data.stress_ibp is not None:
-            load += self.stress_ibp_load(data.stress_ibp)
+        for interface, name, values in ((True, "h", data.h), (False, "k", data.k)):
+            if values is None:
+                continue
+            values = np.asarray(values, dtype=float)
+            n_boundary = len(mesh.boundary(interface)[0])
+            if values.shape != (n_boundary, 2):
+                raise ShapeError(f"{name} must be ({n_boundary}, 2), got {values.shape}")
+            nodal = mesh.boundary_nodal(values, interface)
+            load += self._edge_mass_operators[interface] @ nodal.ravel()
         return load
 
     @cached_property
@@ -420,23 +409,17 @@ class StokesWorkspace:
         """interface flag -> (nu, 2 n_nodes) surface load of P1 nodal vectors
         on Gamma (True) or Gamma_plus (False)."""
         mesh = self.mesh
-        ni = mesh.n_interface_facets
-        return {True: fem.edge_mass_operator(mesh, mesh.interface_facets[:, :2],
-                                             mesh.facet_lengths[:ni]),
-                False: fem.edge_mass_operator(mesh, mesh.outer_facets[:, :2],
-                                              mesh.facet_lengths[ni:])}
+        return {interface: fem.edge_mass_operator(mesh, *mesh.boundary(interface)[1:])
+                for interface in (True, False)}
 
     @cached_property
     def _facet_value_operators(self) -> dict:
         """interface flag -> (nu, 2 n_facets) operator taking per-facet
         constant vectors on Gamma (True) or Gamma_plus (False) to the
         surface load."""
-        mesh = self.mesh
-        ni = mesh.n_interface_facets
         ops = {}
-        for interface, pairs, lengths in (
-                (True, mesh.interface_facets[:, :2], mesh.facet_lengths[:ni]),
-                (False, mesh.outer_facets[:, :2], mesh.facet_lengths[ni:])):
+        for interface in (True, False):
+            _, pairs, lengths = self.mesh.boundary(interface)
             nf = len(pairs)
             # entry (2 * node + comp, 2 f + comp) = length_f / 2 for both nodes
             rows = 2 * pairs[:, :, None] + np.arange(2)                  # (nf, 2, 2)
@@ -463,23 +446,6 @@ class StokesWorkspace:
         values = np.asarray(values, dtype=float)
         flat = values.reshape(values.shape[:-2] + (-1,))
         return fem.apply_sparse(self._facet_value_operators[interface], flat, -1)
-
-    def stress_ibp_load(self, s_cells: np.ndarray) -> np.ndarray:
-        """Weak divergence of a cellwise stress: (S, grad v) minus its
-        interface and outer boundary traces."""
-        mesh = self.mesh
-        s_cells = np.asarray(s_cells, dtype=float)
-        load = self.stress_volume_load(s_cells)
-        ni = mesh.n_interface_facets
-        jumps = np.einsum("fjk,fk->fj",
-                          s_cells[mesh.interface_facets[:, 2]]
-                          - s_cells[mesh.interface_facets[:, 3]],
-                          mesh.facet_normals[:ni])
-        load -= self.facet_value_load(jumps, interface=True)
-        traces = np.einsum("fjk,fk->fj", s_cells[mesh.outer_facets[:, 2]],
-                           mesh.facet_normals[ni:])
-        load -= self.facet_value_load(traces, interface=False)
-        return load
 
     def divergence_load(self, data: StokesData) -> np.ndarray:
         if data.g is None:
@@ -800,14 +766,13 @@ def solve_resolvent(lam: complex, f: Field, params: MaterialParams,
     nu, np_ = ws.nu, ws.np_
 
     if lam == 0:
-        basis = ws.rigid_basis()
-        cols = np.column_stack([ws.mass @ fem.field_to_uvec(p) for p in basis.fields])
+        cols = ws._momentum_columns
         system = sp.bmat([
             [ws.stiffness, -ws.div.T, sp.csr_matrix(cols)],
             [ws.div, None, None],
             [sp.csr_matrix(cols.T), None, None],
         ], format="csc")
-        rhs = np.concatenate([fvec, np.zeros(np_ + len(basis))])
+        rhs = np.concatenate([fvec, np.zeros(np_ + cols.shape[1])])
         sol = Factorized(system).solve(rhs)
         ur, qr = sol[:nu], sol[nu:nu + np_]
         real = StokesState.from_uvec(mesh, ur, Field(mesh, 1, qr[:, None]), 0.0)

@@ -163,33 +163,11 @@ def _solve_with_jumps(ws: _TransmissionWorkspace, rhs: np.ndarray,
     rhs = rhs - fem.gradient_load(mesh, inv_eta[:, None] * grad_lift)
     theta, residual = ws.solve(rhs, dirichlet=gamma)
     sol = _compose(mesh, theta, lift)
-    bnorm = fem.facet_l2(mesh.interface_facets[:, :2], _gamma_lengths(mesh),
-                         _expand_gamma(mesh, beta))
-    gnorm = fem.facet_l2(mesh.outer_facets[:, :2], _outer_lengths(mesh),
-                         _expand_outer(mesh, gamma))
+    bnorm = fem.boundary_l2(mesh, beta[:, None], True)
+    gnorm = fem.boundary_l2(mesh, gamma[:, None], False)
     denom = data_norm + bnorm + gnorm
     ratio = fem.field_h1_semi(sol) / denom if denom > 0 else 0.0
     return TransmissionSolution(sol, residual, ratio)
-
-
-def _gamma_lengths(mesh: RefMesh) -> np.ndarray:
-    return mesh.facet_lengths[:mesh.n_interface_facets]
-
-
-def _outer_lengths(mesh: RefMesh) -> np.ndarray:
-    return mesh.facet_lengths[mesh.n_interface_facets:]
-
-
-def _expand_gamma(mesh: RefMesh, per_gamma_node: np.ndarray) -> np.ndarray:
-    out = np.zeros((mesh.n_nodes,) + per_gamma_node.shape[1:])
-    out[mesh.gamma_nodes] = per_gamma_node
-    return out
-
-
-def _expand_outer(mesh: RefMesh, per_outer_node: np.ndarray) -> np.ndarray:
-    out = np.zeros((mesh.n_nodes,) + per_outer_node.shape[1:])
-    out[mesh.gamma_plus_nodes] = per_outer_node
-    return out
 
 
 def pressure_reconstruct_K(u: Field, params: MaterialParams,
@@ -229,8 +207,7 @@ def pressure_reconstruct_K(u: Field, params: MaterialParams,
     snn_m = np.einsum("ni,nij,nj->n", nrm, sm_, nrm)
     beta = (snn_p - snn_m) - (d[mesh.sdof_plus[gn]] - d[mesh.sdof_minus[gn]])
 
-    on = mesh.gamma_plus_nodes
-    osd = mesh.sdof_minus[on] if mesh.outer_phase < 0 else mesh.sdof_plus[on]
+    osd = mesh.outer_sdofs
     onrm = mesh.node_normals_outer
     gamma = np.einsum("ni,nij,nj->n", onrm, S[osd], onrm) - d[osd]
 

@@ -116,6 +116,20 @@ def test_spectrum_subcommand(tmp_path):
     assert list(spectrum) == ["eigenvalue"] and np.all(np.diff(spectrum["eigenvalue"]) >= 0.0)
 
 
+def test_transmission_test_subcommand(tmp_path):
+    # three levels from the default 3x12 mesh: the H1 error of the
+    # manufactured transmission solution falls at rate ~2 and the stability
+    # ratio stays near 1
+    out = tmp_path / "tt"
+    assert main(["transmission-test", "--out", str(out)]) == 0
+    rates = read_csv(out / "transmission_rates.csv")
+    assert list(rates) == ["level", "h", "h1_error", "rate", "stability_ratio"]
+    assert list(rates["level"]) == [0, 1, 2]
+    assert np.isnan(rates["rate"][0]) and np.all(rates["rate"][1:] > 1.9)
+    assert np.all((rates["stability_ratio"] > 1.0) & (rates["stability_ratio"] < 1.1))
+    assert "subcommand transmission-test" in (out / "manifest.txt").read_text().splitlines()
+
+
 def test_spectrum_shift_validated_before_any_solve(tmp_path, capsys):
     bad = write_cfg(tmp_path, "[solver]\nspectrum_shift = 0.1\n")
     code = main(["spectrum", "--config", str(bad), "--out", str(tmp_path / "x")])

@@ -363,6 +363,48 @@ def test_picard_xi_norms_use_the_tabulated_viscosity(mesh):
     assert rep.xi_outer_norm == pytest.approx(ref.xi_outer_norm, rel=1e-10)
 
 
+def test_picard_xi_norms_match_the_per_facet_oracle(mesh, ws, monkeypatch):
+    # the report's Xi norms against sum_f len_f (a^2 + a b + b^2) / 3 over
+    # the facets of Gamma and Gamma_plus, from the correction and traction
+    # data the solver passed in
+    from lagstokes import fixedpoint
+    seen = {}
+    xi_norms = fixedpoint._xi_norms
+
+    def record(mesh_, u, rhs, *args, **kwargs):
+        seen.update(u=u, rhs=rhs)
+        return xi_norms(mesh_, u, rhs, *args, **kwargs)
+
+    monkeypatch.setattr(fixedpoint, "_xi_norms", record)
+    cfg = IterationConfig(dt=0.05, horizon=0.2)
+    _, rep = picard_solve_local(smooth_datum(mesh, ws, 0.02), cfg, PARAMS, workspace=ws)
+    u, rhs = seen["u"], seen["rhs"]
+    G = fem.recover_gradient(u)
+    D = G + np.swapaxes(G, -1, -2)
+    mu = PARAMS.mu_sdofs(mesh)
+    for rows, traction, nrm, want in (
+            (mesh.interface_facets, rhs.h_jump, mesh.node_normals_gamma, rep.xi_norm),
+            (mesh.outer_facets, rhs.k, mesh.node_normals_outer, rep.xi_outer_norm)):
+        nodes = np.unique(rows[:, :2])
+        # the plus-side dof on Gamma; the outer phase's dof on Gamma_plus
+        side = 1 if rows is mesh.interface_facets else mesh.outer_phase
+        dofs = [next(d for d in (mesh.sdof_plus[n], mesh.sdof_minus[n])
+                     if mesh.sdof_phase[d] == side) for n in nodes]
+        xi = mu[dofs] * np.einsum("ni,snij,nj->sn", nrm, D[:, dofs], nrm)
+        xi[1:] -= np.einsum("sni,ni->sn", traction, nrm)
+        at = [dict(zip(nodes, step)) for step in xi]
+        series = []
+        for step in at:
+            total = 0.0
+            for a, b in rows[:, :2]:
+                length = np.hypot(*(mesh.nodes[b] - mesh.nodes[a]))
+                total += length * (step[a] ** 2 + step[a] * step[b] + step[b] ** 2) / 3.0
+            series.append(np.sqrt(total))
+        oracle = (cfg.dt * np.sum(np.array(series) ** cfg.p)) ** (1.0 / cfg.p)
+        assert want > 0.0
+        assert abs(want - oracle) <= 1e-13 * oracle
+
+
 # -- global continuation --------------------------------------------------------------
 
 def test_global_zero_datum(mesh, ws):
@@ -471,8 +513,6 @@ def test_fit_x_recursion_covers_samples():
 def test_iteration_config_validation():
     with pytest.raises(ValidationError):
         IterationConfig(dt=-1.0)
-    with pytest.raises(ValidationError):
-        IterationConfig(gamma0=0.5)
     with pytest.raises(DomainError):
         IterationConfig(p=3.0, q=1.5)     # q <= N
     with pytest.raises(ValidationError) as err:

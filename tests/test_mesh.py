@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from lagstokes.errors import DomainError, FacetLookupError, ParameterError
+from lagstokes import fem
+from lagstokes.errors import DomainError, FacetLookupError, ParameterError, ShapeError
+from lagstokes.kernel import CofactorField, pushforward_normal
 from lagstokes.mesh import (Field, RefMesh, build_two_phase_disk, facet_normal,
                             jump, read_mesh, write_mesh)
 
@@ -250,3 +252,150 @@ def test_field_shape_checks():
         Field(mesh, 1, np.zeros((3, 1)))
     with pytest.raises(ShapeError):
         Field.from_nodal(mesh, np.zeros((mesh.n_nodes + 1, 2)))
+
+
+# -- the Gamma / Gamma_plus layout -------------------------------------------------
+
+def phase_flipped(mesh):
+    """A mesh with outer_phase = -1 with its phase labels swapped, so that
+    the plus phase owns Gamma_plus (outer_phase = +1)."""
+    return RefMesh(nodes=mesh.nodes, cells=mesh.cells, phase=-mesh.phase,
+                   interface_facets=mesh.interface_facets[:, [0, 1, 3, 2]],
+                   outer_facets=mesh.outer_facets, outer_phase=1)
+
+
+def facet_l2_oracle(mesh, per_node, interface):
+    """Surface L2 norm of P1 values given per boundary node (n_boundary,
+    ncomp), facet by facet: sum_f len_f (a^2 + a b + b^2) / 3 with the
+    facets and lengths taken from the facet tables and node coordinates."""
+    rows = mesh.interface_facets if interface else mesh.outer_facets
+    nodes = np.unique(rows[:, :2])
+    at = {n: per_node[i] for i, n in enumerate(nodes)}
+    total = 0.0
+    for a, b in rows[:, :2]:
+        length = np.hypot(*(mesh.nodes[b] - mesh.nodes[a]))
+        va, vb = at[a], at[b]
+        total += length * np.sum(va * va + va * vb + vb * vb) / 3.0
+    return np.sqrt(total)
+
+
+def island_mesh():
+    """The 3x12 droplet with one annulus cell relabeled plus: the cell that
+    touches Gamma_plus at a single node and owns no outer facet.  That node
+    lies on both Gamma and Gamma_plus, so its two scalar dofs differ and
+    the outer phase decides which one carries the Gamma_plus trace."""
+    mesh = build_two_phase_disk(3, 12, 0.5, 1.0)
+    one_outer_node = np.isin(mesh.cells, mesh.gamma_plus_nodes).sum(axis=1) == 1
+    phase = mesh.phase.copy()
+    phase[np.flatnonzero(one_outer_node & (phase < 0))[0]] = 1
+    edge_cells = {}
+    for c, tri in enumerate(mesh.cells):
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            edge_cells.setdefault((min(a, b), max(a, b)), []).append(c)
+    interface = sorted((a, b) + tuple(sorted(adj, key=lambda c: -phase[c]))
+                       for (a, b), adj in edge_cells.items()
+                       if len(adj) == 2 and phase[adj[0]] != phase[adj[1]])
+    outer = sorted((a, b, adj[0]) for (a, b), adj in edge_cells.items() if len(adj) == 1)
+    return RefMesh(nodes=mesh.nodes, cells=mesh.cells, phase=phase,
+                   interface_facets=np.array(interface), outer_facets=np.array(outer),
+                   outer_phase=-1)
+
+
+@pytest.fixture(scope="module", params=["droplet", "flipped", "island", "island-flipped"])
+def layout_mesh(request):
+    mesh = island_mesh() if request.param.startswith("island") \
+        else build_two_phase_disk(3, 12, 0.5, 1.0)
+    return phase_flipped(mesh) if request.param.endswith("flipped") else mesh
+
+
+def test_island_mesh_has_a_node_on_both_boundaries():
+    for mesh in (island_mesh(), phase_flipped(island_mesh())):
+        mesh.validate()
+        assert np.all(mesh.phase[mesh.outer_facets[:, 2]] == mesh.outer_phase)
+        shared = np.intersect1d(mesh.gamma_nodes, mesh.gamma_plus_nodes)
+        assert len(shared) == 1
+        assert mesh.sdof_plus[shared[0]] != mesh.sdof_minus[shared[0]]
+
+
+def test_outer_and_trace_sdofs(layout_mesh):
+    mesh = layout_mesh
+    gn, on = mesh.gamma_nodes, mesh.gamma_plus_nodes
+    assert np.array_equal(mesh.sdof_phase[mesh.outer_sdofs],
+                          np.full(len(on), mesh.outer_phase))
+    # the dof of each Gamma_plus node that carries the outer phase
+    outer = [next(d for d in (mesh.sdof_plus[n], mesh.sdof_minus[n])
+                  if mesh.sdof_phase[d] == mesh.outer_phase) for n in on]
+    assert np.array_equal(mesh.outer_sdofs, outer)
+    want = np.concatenate([mesh.sdof_plus[gn], mesh.sdof_minus[gn], outer])
+    assert np.array_equal(mesh.trace_sdofs, want)
+    assert np.array_equal(mesh.sdof_phase[mesh.trace_sdofs[:2 * len(gn)]],
+                          np.repeat([1, -1], len(gn)))
+
+
+def test_boundary_views_match_the_facet_tables(layout_mesh):
+    mesh = layout_mesh
+    ni = mesh.n_interface_facets
+    for interface, rows, lengths in ((True, mesh.interface_facets, mesh.facet_lengths[:ni]),
+                                     (False, mesh.outer_facets, mesh.facet_lengths[ni:])):
+        nodes, ends, got_lengths = mesh.boundary(interface)
+        assert np.array_equal(nodes, np.unique(rows[:, :2]))
+        assert np.array_equal(ends, rows[:, :2])
+        assert np.array_equal(got_lengths, lengths)
+        for arr in (nodes, ends, got_lengths):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+    for name in ("outer_sdofs", "trace_sdofs"):
+        with pytest.raises(ValueError):
+            getattr(mesh, name)[0] = 0
+
+
+def test_boundary_nodal_places_values_on_the_boundary(layout_mesh):
+    mesh = layout_mesh
+    rng = np.random.default_rng(3)
+    for interface in (True, False):
+        nodes = mesh.boundary(interface)[0]
+        vals = rng.standard_normal((4, len(nodes), 2))
+        full = mesh.boundary_nodal(vals, interface)
+        assert full.shape == (4, mesh.n_nodes, 2)
+        assert np.array_equal(full[:, nodes], vals)
+        off = np.setdiff1d(np.arange(mesh.n_nodes), nodes)
+        assert np.all(full[:, off] == 0.0)
+        assert np.array_equal(mesh.boundary_nodal(vals[1], interface), full[1])
+        with pytest.raises(ShapeError):
+            mesh.boundary_nodal(vals[:, 1:], interface)
+        with pytest.raises(ShapeError):
+            mesh.boundary_nodal(vals[0, :, 0], interface)
+
+
+def test_boundary_l2_matches_the_per_facet_oracle(layout_mesh):
+    mesh = layout_mesh
+    rng = np.random.default_rng(11)
+    for interface in (True, False):
+        n = len(mesh.boundary(interface)[0])
+        for ncomp in (1, 2):
+            stack = rng.standard_normal((3, n, ncomp))
+            got = fem.boundary_l2(mesh, stack, interface)
+            want = [facet_l2_oracle(mesh, v, interface) for v in stack]
+            assert got.shape == (3,)
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+            single = fem.boundary_l2(mesh, stack[0], interface)
+            assert isinstance(single, float)
+            assert abs(single - want[0]) <= 1e-13 * want[0]
+
+
+def test_pushforward_outer_normal_turns_with_the_outer_phase(layout_mesh):
+    # a rotation per phase: on Gamma_plus the transformed normal turns with
+    # the outer phase's rotation, on Gamma with the average of both
+    mesh = layout_mesh
+
+    def rot(th):
+        return np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+
+    rots = {1: rot(0.3), -1: rot(-0.5)}
+    nb = pushforward_normal(CofactorField(mesh, np.array([rots[s] for s in mesh.sdof_phase])),
+                            mesh)
+    assert np.allclose(nb.outer, mesh.node_normals_outer @ rots[mesh.outer_phase].T,
+                       atol=1e-14)
+    avg = mesh.node_normals_gamma @ (0.5 * (rots[1] + rots[-1])).T
+    assert np.allclose(nb.gamma, avg / np.linalg.norm(avg, axis=1, keepdims=True),
+                       atol=1e-14)

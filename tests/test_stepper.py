@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from lagstokes import fem
-from lagstokes.errors import DataError, ParameterError, ResolventError, SolverError
+from lagstokes.errors import (DataError, ParameterError, ResolventError, ShapeError,
+                              SolverError)
 from lagstokes.mesh import Field, build_two_phase_disk
 from lagstokes.stepper import (StokesData, StokesState, StokesWorkspace, korn_constant,
                                run_linear, solve_resolvent, step_linear)
@@ -199,6 +200,16 @@ def test_traction_loads_match_edge_mass_oracle():
         nodal[nodes] = h if data.h is not None else k
         oracle = _edge_load_oracle(m, pairs, lengths, nodal)
         assert np.abs(w.momentum_load(data) - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+
+def test_traction_loads_reject_misshaped_data(mesh, ws):
+    h = np.zeros((len(mesh.gamma_nodes), 2))
+    k = np.zeros((len(mesh.gamma_plus_nodes), 2))
+    for data in (StokesData(h=h[1:]), StokesData(h=h[:, :1]), StokesData(h=h.ravel()),
+                 StokesData(h=h, k=k[1:]), StokesData(k=np.zeros((3,) + k.shape))):
+        with pytest.raises(ShapeError):
+            ws.momentum_load(data)
+    assert not ws.momentum_load(StokesData(h=h, k=k)).any()
 
 
 def test_resolvent_rigid_identity(mesh, ws):

@@ -91,6 +91,26 @@ def test_constant_jump_imposed_exactly(mesh):
         assert jump(sol.theta, k) == pytest.approx(b, abs=1e-13)
 
 
+def test_jump_solve_stability_ratio_matches_the_per_facet_oracle(mesh):
+    # ||theta||_H1semi / (||alpha|| + ||beta||_Gamma + ||gamma||_Gamma_plus),
+    # the surface norms summed facet by facet: len_f (a^2 + a b + b^2) / 3
+    def surface_l2(rows, per_node):
+        at = dict(zip(np.unique(rows[:, :2]), per_node))
+        return np.sqrt(sum(np.hypot(*(mesh.nodes[b] - mesh.nodes[a]))
+                           * (at[a] ** 2 + at[a] * at[b] + at[b] ** 2) / 3.0
+                           for a, b in rows[:, :2]))
+
+    rng = np.random.default_rng(8)
+    alpha = Field.from_nodal(mesh, rng.standard_normal((mesh.n_nodes, 2)))
+    beta = rng.standard_normal(len(mesh.gamma_nodes))
+    gamma = rng.standard_normal(len(mesh.gamma_plus_nodes))
+    sol = solve_transmission_with_jumps(alpha, beta, gamma, PARAMS)
+    denom = (fem.field_l2(alpha) + surface_l2(mesh.interface_facets, beta)
+             + surface_l2(mesh.outer_facets, gamma))
+    oracle = fem.field_h1_semi(sol.theta) / denom
+    assert abs(sol.stability_ratio - oracle) <= 1e-13 * oracle
+
+
 def test_manufactured_piecewise_jump_recovery():
     c = 0.4
     errs = []
