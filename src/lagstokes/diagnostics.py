@@ -19,11 +19,18 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import fem
+from . import fem, kernel
 from .errors import DomainError, NumericError, ParameterError
 from .mesh import Field
 from .stepper import StokesWorkspace, Trajectory
 from .transmission import MaterialParams
+
+# decay_fit drops this leading fraction of the series as transient
+_DROP_FRACTION = 0.1
+# eigenvalues below this fraction of the largest computed one form the kernel
+_KERNEL_TOL = 1e-8
+# roundoff allowance of the bootstrap inequalities on sampled X
+_BOOTSTRAP_SLACK = 1e-12
 
 
 @dataclass
@@ -75,11 +82,12 @@ def _lagrangian_dissipation(traj: Trajectory, mu_c: np.ndarray) -> np.ndarray:
     u = traj.u
 
     def block(steps):
-        G = fem.cell_gradients(u[steps])
+        # cells lead, (nc, n_steps, ...): ``weights @ r`` rounds differently
+        # for a step-major r, which would move the dissipation's last bit
+        g = kernel.to_planes(fem.cell_gradients(u[steps]).swapaxes(0, 1))
         Ac = traj.cofactors[steps][:, mesh.cell_sdofs].mean(axis=2)   # centroid values
-        Du = np.einsum("ncij,nckj->ncik", G, Ac)
-        Du = Du + np.swapaxes(Du, -1, -2)
-        return 0.5 * np.einsum("ncij,ncij->nc", Du, Du) @ weights
+        Du = kernel.from_planes(kernel.rate_tensors(g, kernel.to_planes(Ac.swapaxes(0, 1)))[1])
+        return weights @ (0.5 * np.einsum("cnij,cnij->cn", Du, Du))
 
     return fem.blockwise(block, len(traj.times))
 
@@ -160,10 +168,10 @@ def _lagrangian_momenta(u: Field, X: Field, basis, eta_c: np.ndarray) -> np.ndar
                             for A, b in basis.coeffs])
 
 
-def decay_fit(series: np.ndarray, dt: float, drop_fraction: float = 0.1,
-              times: np.ndarray | None = None) -> tuple[float, float]:
-    """Least-squares exponential rate of a positive series: fits
-    log y = c - rate * t after dropping the leading transient fraction.
+def decay_fit(series: np.ndarray, dt: float) -> tuple[float, float]:
+    """Least-squares exponential rate of a positive series sampled every
+    ``dt``: fits log y = c - rate * t after dropping the leading transient
+    fraction ``_DROP_FRACTION``.
 
     Returns (rate, confidence half-width); rate > 0 means decay.
     """
@@ -172,8 +180,8 @@ def decay_fit(series: np.ndarray, dt: float, drop_fraction: float = 0.1,
         raise ParameterError(f"need at least 8 samples, got {len(series)}")
     if np.any(series <= 0) or not np.all(np.isfinite(series)):
         raise DomainError("decay fit requires strictly positive finite samples")
-    t = np.arange(len(series)) * dt if times is None else np.asarray(times, dtype=float)
-    skip = int(np.floor(drop_fraction * len(series)))
+    t = np.arange(len(series)) * dt
+    skip = int(np.floor(_DROP_FRACTION * len(series)))
     t, y = t[skip:], np.log(series[skip:])
     a = np.column_stack([np.ones_like(t), t])
     coef, res, _, _ = np.linalg.lstsq(a, y, rcond=None)
@@ -190,8 +198,7 @@ def decay_fit(series: np.ndarray, dt: float, drop_fraction: float = 0.1,
 
 def discrete_spectrum(mesh, params: MaterialParams, count: int,
                       workspace: StokesWorkspace | None = None,
-                      sigma: float = -0.1, seed: int = 0,
-                      kernel_tol: float = 1e-8) -> SpectrumReport:
+                      sigma: float = -0.1, seed: int = 0) -> SpectrumReport:
     """Smallest eigenpairs of the two-phase Stokes operator on the
     discretely divergence-free manifold, eigenvalues ascending.
 
@@ -221,7 +228,7 @@ def discrete_spectrum(mesh, params: MaterialParams, count: int,
         raise NumericError(f"spectrum eigen-solver failed: {exc}") from exc
 
     scale = max(np.abs(vals).max(), 1.0)
-    kernel_mask = np.abs(vals) <= kernel_tol * scale
+    kernel_mask = np.abs(vals) <= _KERNEL_TOL * scale
     kernel_dim = int(kernel_mask.sum())
     gap = float(vals[~kernel_mask].min()) if kernel_dim < len(vals) else np.inf
     kvecs = vecs[:nu, kernel_mask]
@@ -294,9 +301,7 @@ class BootstrapVerdict:
         return self.hypothesis_ok and self.recursion_ok and self.conclusion_ok
 
 
-def bootstrap_check(a: float, b: float, X: np.ndarray,
-                    max_jump: float | None = None,
-                    slack: float = 1e-12) -> BootstrapVerdict:
+def bootstrap_check(a: float, b: float, X: np.ndarray) -> BootstrapVerdict:
     """Verify the cubic bootstrap lemma on sampled data: under the smallness
     hypothesis a < r_b (2 - b r_b)/3 with X(0) <= r_b, a trajectory obeying
     X <= a + b X^2 + b X^3 stays below 2a."""
@@ -307,13 +312,11 @@ def bootstrap_check(a: float, b: float, X: np.ndarray,
     steps = np.abs(np.diff(X)) if len(X) > 1 else np.array([0.0])
     max_step = float(steps.max()) if len(steps) else 0.0
     hypothesis_ok = (a < r_b * (2.0 - b * r_b) / 3.0) and (len(X) > 0 and X[0] <= r_b)
-    if max_jump is not None and max_step > max_jump:
-        hypothesis_ok = False
-    recursion = X <= a + b * X ** 2 + b * X ** 3 + slack
+    recursion = X <= a + b * X ** 2 + b * X ** 3 + _BOOTSTRAP_SLACK
     first = None
     if not np.all(recursion):
         first = int(np.argmin(recursion))
-    conclusion = X <= 2.0 * a + slack
+    conclusion = X <= 2.0 * a + _BOOTSTRAP_SLACK
     if first is None and not np.all(conclusion):
         first = int(np.argmin(conclusion))
     return BootstrapVerdict(

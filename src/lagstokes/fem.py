@@ -225,10 +225,15 @@ def scalar_stiffness(mesh: RefMesh, cell_scalar_dofs: np.ndarray, n_scalar: int,
 def gradient_load(mesh: RefMesh, w_cells: np.ndarray) -> np.ndarray:
     """(w, grad phi) for a cellwise-constant vector field w (n_cells, 2)
     against every continuous P1 test function phi, one entry per node."""
-    load = np.zeros(mesh.n_nodes)
     contrib = np.einsum("cak,ck->ca", mesh.grads, w_cells) * mesh.areas[:, None]
-    np.add.at(load, mesh.cells.ravel(), contrib.ravel())
-    return load
+    return np.bincount(mesh.cells.ravel(), weights=contrib.ravel(), minlength=mesh.n_nodes)
+
+
+def scalar_load(mesh: RefMesh, c_cells: np.ndarray) -> np.ndarray:
+    """(c, phi) for a cellwise-constant scalar c (n_cells,) against every
+    continuous P1 test function phi, one entry per node."""
+    contrib = (mesh.areas * c_cells)[:, None] / 3.0 * np.ones(3)
+    return np.bincount(mesh.cells.ravel(), weights=contrib.ravel(), minlength=mesh.n_nodes)
 
 
 # -- facet (edge) integrals ------------------------------------------------
@@ -426,19 +431,24 @@ def hessian_seminorm(field: Field, cell_grads: np.ndarray | None = None):
     return field_h1_semi(flat)
 
 
-def interpolate(mesh: RefMesh, fn, ncomp: int = 1) -> Field:
-    """Continuous nodal interpolant of fn(x, y) -> (ncomp,)."""
+def _node_values(mesh: RefMesh, fn, ncomp: int) -> np.ndarray:
+    """fn(x, y) -> (ncomp,) at every node, (n_nodes, ncomp)."""
     vals = np.array([np.atleast_1d(fn(x, y)) for x, y in mesh.nodes], dtype=float)
     if vals.shape[1] != ncomp:
         raise ShapeError(f"function returned {vals.shape[1]} components, expected {ncomp}")
-    return Field.from_nodal(mesh, vals)
+    return vals
+
+
+def interpolate(mesh: RefMesh, fn, ncomp: int = 1) -> Field:
+    """Continuous nodal interpolant of fn(x, y) -> (ncomp,)."""
+    return Field.from_nodal(mesh, _node_values(mesh, fn, ncomp))
 
 
 def interpolate_two_phase(mesh: RefMesh, fn_plus, fn_minus, ncomp: int = 1) -> Field:
-    """Doubled interpolant with independent plus/minus expressions."""
-    vp = np.array([np.atleast_1d(fn_plus(x, y)) for x, y in mesh.nodes], dtype=float)
-    vm = np.array([np.atleast_1d(fn_minus(x, y)) for x, y in mesh.nodes], dtype=float)
-    return Field.from_phase_traces(mesh, vp, vm)
+    """Doubled interpolant with independent plus/minus expressions, each
+    fn(x, y) -> (ncomp,)."""
+    return Field.from_phase_traces(mesh, _node_values(mesh, fn_plus, ncomp),
+                                   _node_values(mesh, fn_minus, ncomp))
 
 
 # -- linear solver wrapper -----------------------------------------------------

@@ -105,10 +105,9 @@ class IterationConfig:
     contraction_target: float = 0.9
     min_steps: int = 4
     smallness: float = 1.0
-    n_dim: int = 2
 
     def __post_init__(self):
-        self.exponents = sigma_exponents(self.p, self.q, self.n_dim)
+        self.exponents = sigma_exponents(self.p, self.q)
         if self.dt <= 0:
             raise ValidationError("dt must be positive", field="dt")
         if self.horizon <= 0:
@@ -269,26 +268,23 @@ def compute_nonlinear_terms(u_hist, q_hist, A: kernel.CofactorField,
     # the 2x2 algebra runs on component planes (kernel.to_planes): entry
     # (i, j) of a stack is one contiguous plane and a transpose is a swap of
     # the two leading axes
-    mul, apply = kernel.mul_planes, kernel.apply_planes
     a_n, g_n = kernel.to_planes(A_n), kernel.to_planes(G_n)      # (2, 2, k, nsdof)
 
     # cellwise exact quantities for the weak momentum source
     q_c = fem.cell_values(q)[..., 0]
-    g_c = kernel.to_planes(G_c)
     a_c = a_n[..., mesh.cell_sdofs].mean(axis=-1)                 # (2, 2, k, nc)
-    gt_c, at_c = g_c.swapaxes(0, 1), a_c.swapaxes(0, 1)
-    d_c = g_c + gt_c
-    du_c = mul(g_c, at_c) + mul(a_c, gt_c)
+    d_c, du_c = kernel.rate_tensors(kernel.to_planes(G_c), a_c)
     eye = np.eye(2)[:, :, None, None]
     t_c = mu_c * d_c - q_c * eye
     tu_c = mu_c * du_c - q_c * eye
-    stress = t_c - mul(tu_c, a_c)
+    stress = t_c - kernel.mul_planes(tu_c, a_c)
 
     # nodal recovered quantities for the divergence data
-    ima_t = _eye_minus(a_n).swapaxes(0, 1)
-    gi = mul(g_n, ima_t)
+    ima_t = kernel.eye_minus(a_n).swapaxes(0, 1)
+    gi = kernel.mul_planes(g_n, ima_t)
     g_vals = gi[0, 0] + gi[1, 1]                          # tr(G (I - A^T))
-    R_vals = kernel.from_vector_planes(apply(ima_t, kernel.vector_planes(u_vals)))
+    R_vals = kernel.from_vector_planes(kernel.apply_planes(ima_t,
+                                                           kernel.vector_planes(u_vals)))
 
     # interface and outer traction defects from nodal traces
     nbar = kernel.pushforward_normal(kernel.CofactorField(mesh, A_n), mesh)
@@ -324,11 +320,6 @@ def compute_nonlinear_terms(u_hist, q_hist, A: kernel.CofactorField,
                         f_ext=None if f_vals is None else Field(mesh, 2, pick(f_vals)))
 
 
-def _unit(vec: np.ndarray) -> np.ndarray:
-    """Unit vectors of a (2, ...) component-plane stack."""
-    return vec / np.sqrt(vec[0] * vec[0] + vec[1] * vec[1])
-
-
 def _facet_corrections(mesh, tu_c: np.ndarray, a_c: np.ndarray):
     """Per-facet values of [[T_A (A n - nbar)]] on Gamma and of
     T_A (A n+ - nbar+) on Gamma_plus, from the adjacent-cell traces of the
@@ -336,24 +327,15 @@ def _facet_corrections(mesh, tu_c: np.ndarray, a_c: np.ndarray):
     facet-averaged cofactor so it stays single-valued on the interface.
     The plus, minus and outer traces go through each product together."""
     ni = mesh.n_interface_facets
-    cells = np.concatenate([mesh.interface_facets[:, 2], mesh.interface_facets[:, 3],
-                            mesh.outer_facets[:, 2]])
-    normals = np.concatenate([mesh.facet_normals[:ni], mesh.facet_normals])
-    an = kernel.apply_planes(a_c[..., cells], kernel.vector_planes(normals))
+    cells = mesh.trace_cells
+    an = kernel.apply_planes(a_c[..., cells], kernel.vector_planes(mesh.trace_facet_normals))
     an_p, an_m, an_o = an[..., :ni], an[..., ni:2 * ni], an[..., 2 * ni:]
-    nbar = _unit(0.5 * (an_p + an_m))
+    nbar = kernel.unit_planes(0.5 * (an_p + an_m), "Gamma facets")
     j = kernel.apply_planes(tu_c[..., cells], np.concatenate(
-        [an_p - nbar, an_m - nbar, an_o - _unit(an_o)], axis=-1))
+        [an_p - nbar, an_m - nbar, an_o - kernel.unit_planes(an_o, "Gamma_plus facets")],
+        axis=-1))
     return (kernel.from_vector_planes(j[..., :ni] - j[..., ni:2 * ni]),
             kernel.from_vector_planes(j[..., 2 * ni:]))
-
-
-def _eye_minus(planes: np.ndarray) -> np.ndarray:
-    """I - A of a component-plane stack."""
-    out = -planes
-    out[0, 0] += 1.0
-    out[1, 1] += 1.0
-    return out
 
 
 def _traction_defects(mesh, g_n, a_n, q_dof, mu_s, nbar):
@@ -363,19 +345,13 @@ def _traction_defects(mesh, g_n, a_n, q_dof, mu_s, nbar):
     outer traces go through each product together."""
     ng = len(mesh.gamma_nodes)
     sdofs = mesh.trace_sdofs
-    n_fixed = kernel.vector_planes(np.concatenate(
-        [mesh.node_normals_gamma, mesh.node_normals_gamma, mesh.node_normals_outer]))[:, None]
+    n_fixed = kernel.vector_planes(mesh.trace_node_normals)[:, None]
     n_bar = kernel.vector_planes(np.concatenate([nbar.gamma, nbar.gamma, nbar.outer], axis=-2))
-    mul, apply = kernel.mul_planes, kernel.apply_planes
-    g = g_n[..., sdofs]
-    a = a_n[..., sdofs]
-    gt, at = g.swapaxes(0, 1), a.swapaxes(0, 1)
-    d = g + gt
-    du = mul(g, at) + mul(a, gt)
+    d, du = kernel.rate_tensors(g_n[..., sdofs], a_n[..., sdofs])
     mu = mu_s[sdofs]
     q = q_dof[:, sdofs]
-    t_n = mu * apply(d, n_fixed) - q * n_fixed
-    tu_nb = mu * apply(du, n_bar) - q * n_bar
+    t_n = mu * kernel.apply_planes(d, n_fixed) - q * n_fixed
+    tu_nb = mu * kernel.apply_planes(du, n_bar) - q * n_bar
     defect = t_n - tu_nb
     return (kernel.from_vector_planes(defect[..., :ng] - defect[..., ng:2 * ng]),
             kernel.from_vector_planes(defect[..., 2 * ng:]))
@@ -408,15 +384,15 @@ def _xi_norms(mesh, u: Field, rhs: NonlinearRHS | None, params, dt, p,
     field stack u (steps 0..n); the traction data ``rhs`` cover steps 1..n
     and were built with the same viscosity (``mu_nodal`` when given)."""
     mu_s = params.mu_sdofs(mesh) if mu_nodal is None else mu_nodal.values[:, 0]
-    G = fem.recover_gradient(u)
-    D = G + np.swapaxes(G, -1, -2)
-    nrm, onrm = mesh.node_normals_gamma, mesh.node_normals_outer
-    sd, osd = mesh.sdof_plus[mesh.gamma_nodes], mesh.outer_sdofs
-    xi = mu_s[sd] * np.sum(nrm * kernel.apply2x2(D[:, sd], nrm), axis=-1)
-    xio = mu_s[osd] * np.sum(onrm * kernel.apply2x2(D[:, osd], onrm), axis=-1)
+    ng = len(mesh.gamma_nodes)
+    sdofs = mesh.trace_sdofs
+    g = kernel.to_planes(fem.recover_gradient(u)[:, sdofs])
+    snn = mu_s[sdofs] * kernel.normal_part(g + g.swapaxes(0, 1),
+                                           kernel.vector_planes(mesh.trace_node_normals))
+    xi, xio = snn[:, :ng], snn[:, 2 * ng:]          # the plus side of Gamma, Gamma_plus
     if rhs is not None:
-        xi[1:] -= np.sum(rhs.h_jump * nrm, axis=-1)
-        xio[1:] -= np.sum(rhs.k * onrm, axis=-1)
+        xi[1:] -= np.sum(rhs.h_jump * mesh.node_normals_gamma, axis=-1)
+        xio[1:] -= np.sum(rhs.k * mesh.node_normals_outer, axis=-1)
     return (_lp(fem.boundary_l2(mesh, xi[..., None], True), dt, p),
             _lp(fem.boundary_l2(mesh, xio[..., None], False), dt, p))
 
@@ -710,6 +686,11 @@ def stability_probe(v0_a: Field, v0_b: Field, cfg: IterationConfig,
 
 # -- global continuation -------------------------------------------------------------
 
+# rigid momenta of the datum above this fraction of its H1 norm are
+# projected out before the continuation
+_ORTHOGONALITY_TOL = 1e-12
+
+
 @dataclass
 class XReport:
     times: np.ndarray
@@ -741,8 +722,7 @@ def fit_x_recursion(x_values: np.ndarray) -> tuple[float, float]:
 
 
 def global_continue(v0: Field, cfg: IterationConfig, params: MaterialParams,
-                    workspace: StokesWorkspace | None = None,
-                    orthogonality_tol: float = 1e-12) -> tuple[Trajectory, XReport]:
+                    workspace: StokesWorkspace | None = None) -> tuple[Trajectory, XReport]:
     """Extend the small-data droplet solution to the configured horizon by
     chained local solves, tracking the exponentially weighted functional
 
@@ -759,7 +739,7 @@ def global_continue(v0: Field, cfg: IterationConfig, params: MaterialParams,
 
     v0n = fem.field_h1(v0)
     moms = rigid_momenta(v0, basis, params)
-    if np.abs(moms).max() > orthogonality_tol * max(v0n, 1e-30):
+    if np.abs(moms).max() > _ORTHOGONALITY_TOL * max(v0n, 1e-30):
         v0 = project_out_rigid(v0, basis, params)
     v0, _ = helmholtz_project(v0, params, ws)
     init_norm = fem.field_h1(v0) + fem.hessian_seminorm(v0)

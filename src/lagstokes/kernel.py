@@ -11,6 +11,14 @@ fails.
 The gradient accumulation, the cofactor series and the pushforward normals
 also take a stack of times (a leading axis on the matrices) and treat each
 time exactly as a single-time call would.
+
+The component-plane kernels below are the package's one 2x2 algebra:
+products, matrix-vector products, norms, I - A, unit vectors, normal parts
+n . (M n) and the rate tensors D and D_A.  The nonlinear terms on cells,
+on nodes and on both boundaries, the Lagrangian dissipation and the
+boundary data of the pressure reconstruction all call them; only the
+closed-form inverse :func:`direct_inverse_oracle`, the series' test
+oracle, stays on the strided (..., 2, 2) layout.
 """
 
 from __future__ import annotations
@@ -26,6 +34,9 @@ from .mesh import Field, RefMesh
 DEFAULT_KAPPA = 0.5
 DEFAULT_SERIES_TOL = 1e-13
 DEFAULT_MAX_ORDER = 64
+# |A n| below this on Gamma or Gamma_plus makes the pushforward normal
+# undefined
+_DEGENERACY_TOL = 1e-12
 
 
 # Stacked 2x2 algebra on component planes.  A (..., 2, 2) stack is copied
@@ -104,15 +115,36 @@ def norms_planes(planes: np.ndarray) -> np.ndarray:
     return _norms(planes[0, 0], planes[0, 1], planes[1, 0], planes[1, 1])
 
 
-def mul2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products a @ b of broadcastable (..., 2, 2) matrix stacks."""
-    return from_planes(mul_planes(to_planes(a), to_planes(b)))
+def eye_minus(planes: np.ndarray) -> np.ndarray:
+    """I - A of a (2, 2, ...) plane stack; ``eye_minus(zeros)`` is the
+    identity."""
+    out = -planes
+    out[0, 0] += 1.0
+    out[1, 1] += 1.0
+    return out
 
 
-def apply2x2(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector products m @ v of broadcastable (..., 2, 2) and
-    (..., 2) stacks."""
-    return from_vector_planes(apply_planes(to_planes(m), vector_planes(v)))
+def unit_planes(vec: np.ndarray, boundary: str) -> np.ndarray:
+    """Unit vectors of a (2, ...) plane stack of transformed normals on
+    ``boundary``; raises GeometryError where one is degenerate."""
+    lengths = np.sqrt(vec[0] * vec[0] + vec[1] * vec[1])
+    if np.any(lengths < _DEGENERACY_TOL):
+        raise GeometryError(f"|A n| degenerate on {boundary}")
+    return vec / lengths
+
+
+def normal_part(m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """n . (m n) of broadcastable (2, 2, ...) and (2, ...) plane stacks."""
+    mn = apply_planes(m, n)
+    return n[0] * mn[0] + n[1] * mn[1]
+
+
+def rate_tensors(g: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rate tensor D = G + G^T and its Lagrangian transform
+    D_A = G A^T + A G^T of broadcastable (2, 2, ...) plane stacks of
+    velocity gradients G and cofactors A."""
+    gt = g.swapaxes(0, 1)
+    return g + gt, mul_planes(g, a.swapaxes(0, 1)) + mul_planes(a, gt)
 
 
 def _spectral_norms(mats: np.ndarray) -> np.ndarray:
@@ -264,9 +296,7 @@ def neumann_cofactor(C: DisplacementGradient, tol: float = DEFAULT_SERIES_TOL,
         raise GeometryError(
             f"displacement gradient norm {kmax.max():.3g} exceeds kappa={kappa}; "
             "reduce the time horizon")
-    acc = np.zeros_like(c)
-    acc[0, 0] = 1.0
-    acc[1, 1] = 1.0
+    acc = eye_minus(np.zeros_like(c))
     term = acc.copy()
     order = np.zeros(kmax.shape, dtype=np.int64)
     active = np.ones(kmax.shape, dtype=bool)
@@ -312,42 +342,38 @@ def delta_cofactor(C1: DisplacementGradient, C2: DisplacementGradient,
     factor sits between the power sums; matrices do not commute, so the
     shorthand with the factor pulled out front is only notation.
     """
-    for C in (C1, C2):
-        kmax = float(_spectral_norms(C.mats).max()) if len(C.mats) else 0.0
+    c1, c2 = to_planes(C1.mats), to_planes(C2.mats)
+    for c in (c1, c2):
+        kmax = float(norms_planes(c).max()) if c.shape[-1] else 0.0
         if kmax > kappa:
             raise GeometryError(
                 f"displacement gradient norm {kmax:.3g} exceeds kappa={kappa}")
     if C1.mesh is not C2.mesh:
         raise ShapeError("displacement gradients live on different meshes")
-    dC = C2.mats - C1.mats
-    n = dC.shape[0]
-    eye = np.zeros((n, 2, 2))
-    eye[:, 0, 0] = 1.0
-    eye[:, 1, 1] = 1.0
+    dc = c2 - c1
+    eye = eye_minus(np.zeros_like(dc))
 
-    series = np.zeros((n, 2, 2))
+    series = np.zeros_like(dc)
     sign = -1.0
     c1_pows = [eye]       # C1^j dC prefactors are built below from these
     c2_pows = [eye]
     for ell in range(1, max_order + 1):
-        inner = np.zeros((n, 2, 2))
+        inner = np.zeros_like(dc)
         for j in range(ell):
-            left = np.einsum("nij,njk->nik", c1_pows[j], dC)
-            inner += np.einsum("nij,njk->nik", left, c2_pows[ell - 1 - j])
+            inner += mul_planes(mul_planes(c1_pows[j], dc), c2_pows[ell - 1 - j])
         series += sign * inner
         sign = -sign
-        if float(_spectral_norms(inner).max()) < tol:
+        if float(norms_planes(inner).max()) < tol:
             break
-        c1_pows.append(np.einsum("nij,njk->nik", c1_pows[-1], C1.mats))
-        c2_pows.append(np.einsum("nij,njk->nik", c2_pows[-1], C2.mats))
+        c1_pows.append(mul_planes(c1_pows[-1], c1))
+        c2_pows.append(mul_planes(c2_pows[-1], c2))
     else:
         raise ConvergenceError(
             f"delta-cofactor series did not converge within {max_order} terms")
-    return series
+    return from_planes(series)
 
 
-def pushforward_normal(A: CofactorField, mesh: RefMesh,
-                       degeneracy_tol: float = 1e-12) -> TransformedNormal:
+def pushforward_normal(A: CofactorField, mesh: RefMesh) -> TransformedNormal:
     """Unit transformed normals on Gamma and Gamma_plus, with a leading
     axis for a cofactor stack.
 
@@ -359,12 +385,8 @@ def pushforward_normal(A: CofactorField, mesh: RefMesh,
     gm = 0.5 * (traces[..., :ng] + traces[..., ng:2 * ng])
     gvec = apply_planes(gm, vector_planes(mesh.node_normals_gamma))
     ovec = apply_planes(traces[..., 2 * ng:], vector_planes(mesh.node_normals_outer))
-    for vec, name in ((gvec, "Gamma"), (ovec, "Gamma_plus")):
-        mags = np.sqrt(vec[0] * vec[0] + vec[1] * vec[1])
-        if np.any(mags < degeneracy_tol):
-            raise GeometryError(f"|A n| degenerate on {name}")
-        vec /= mags
-    return TransformedNormal(mesh, from_vector_planes(gvec), from_vector_planes(ovec))
+    return TransformedNormal(mesh, from_vector_planes(unit_planes(gvec, "Gamma")),
+                             from_vector_planes(unit_planes(ovec, "Gamma_plus")))
 
 
 @dataclass
@@ -391,14 +413,9 @@ def deformation_tensors(u: Field, A: CofactorField,
     G = fem.recover_gradient(u) if grad_u is None else np.asarray(grad_u, dtype=float)
     if G.shape != (u.mesh.nsdof, 2, 2):
         raise ShapeError("Jacobian field shape mismatch")
-    At = np.swapaxes(A.mats, 1, 2)
-    Gt = np.swapaxes(G, 1, 2)
-    D = G + Gt
-    Du = np.einsum("nij,njk->nik", G, At) + np.einsum("nij,njk->nik", A.mats, Gt)
-    ImA = -A.mats.copy()
-    ImA[:, 0, 0] += 1.0
-    ImA[:, 1, 1] += 1.0
-    ImAt = np.swapaxes(ImA, 1, 2)
-    H = np.einsum("nij,njk->nik", G, ImAt) + np.einsum("nij,njk->nik", ImA, Gt)
-    D_tilde = np.einsum("nij,njk->nik", D, ImA)
-    return DeformationTensors(D=D, Du=Du, H=H, D_tilde=D_tilde)
+    g, a = to_planes(G), to_planes(A.mats)
+    d, du = rate_tensors(g, a)
+    ima = eye_minus(a)
+    h = rate_tensors(g, ima)[1]
+    return DeformationTensors(D=from_planes(d), Du=from_planes(du), H=from_planes(h),
+                              D_tilde=from_planes(mul_planes(d, ima)))

@@ -40,8 +40,11 @@ class RefMesh:
     The mesh owns the layout of the two boundaries: :meth:`boundary` gives
     the nodes, facets and facet lengths of Gamma or Gamma_plus, and
     ``outer_sdofs`` the scalar dof of the outer phase at each Gamma_plus
-    node.  Nodal traces are gathered at ``trace_sdofs``: the plus side of
-    Gamma, then its minus side, then Gamma_plus.
+    node.  Boundary traces come in one order, the plus side of Gamma, then
+    its minus side, then Gamma_plus: nodal traces are gathered at
+    ``trace_sdofs``, with the node normals ``trace_node_normals``, and
+    facet traces at the cells ``trace_cells``, with the facet normals
+    ``trace_facet_normals``.
     """
 
     nodes: np.ndarray            # (nn, 2)
@@ -67,6 +70,9 @@ class RefMesh:
     trace_sdofs: np.ndarray = dc_field(default=None, repr=False)  # (2 ng + n_gamma_plus_nodes,)
     node_normals_gamma: np.ndarray = dc_field(default=None, repr=False)
     node_normals_outer: np.ndarray = dc_field(default=None, repr=False)
+    trace_node_normals: np.ndarray = dc_field(default=None, repr=False)   # at trace_sdofs
+    trace_cells: np.ndarray = dc_field(default=None, repr=False)  # (2 ni + n_outer_facets,)
+    trace_facet_normals: np.ndarray = dc_field(default=None, repr=False)  # at trace_cells
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", np.ascontiguousarray(self.nodes, dtype=float))
@@ -83,7 +89,8 @@ class RefMesh:
                      "gamma_nodes", "gamma_plus_nodes", "areas", "grads",
                      "facet_normals", "facet_lengths", "sdof_plus", "sdof_minus",
                      "cell_sdofs", "sdof_phase", "outer_sdofs", "trace_sdofs",
-                     "node_normals_gamma", "node_normals_outer"):
+                     "node_normals_gamma", "node_normals_outer", "trace_node_normals",
+                     "trace_cells", "trace_facet_normals"):
             getattr(self, name).flags.writeable = False
 
     # -- construction helpers -------------------------------------------------
@@ -146,14 +153,20 @@ class RefMesh:
         owners = np.concatenate([self.interface_facets[:, 2], self.outer_facets[:, 2]])
         normals, lengths = _edge_normals(self.nodes[ends[:, 0]], self.nodes[ends[:, 1]],
                                          away_from=centroids[owners])
+        gamma_normals = _node_normals(self, self.gamma_nodes, self.interface_facets[:, :2],
+                                      normals[:off])
+        outer_normals = _node_normals(self, self.gamma_plus_nodes, self.outer_facets[:, :2],
+                                      normals[off:])
         object.__setattr__(self, "facet_normals", normals)
         object.__setattr__(self, "facet_lengths", lengths)
-        object.__setattr__(self, "node_normals_gamma",
-                           _node_normals(self, self.gamma_nodes, self.interface_facets[:, :2],
-                                         normals[:off]))
-        object.__setattr__(self, "node_normals_outer",
-                           _node_normals(self, self.gamma_plus_nodes, self.outer_facets[:, :2],
-                                         normals[off:]))
+        object.__setattr__(self, "node_normals_gamma", gamma_normals)
+        object.__setattr__(self, "node_normals_outer", outer_normals)
+        object.__setattr__(self, "trace_node_normals",
+                           np.concatenate([gamma_normals, gamma_normals, outer_normals]))
+        object.__setattr__(self, "trace_cells", np.concatenate(
+            [self.interface_facets[:, 2], self.interface_facets[:, 3], self.outer_facets[:, 2]]))
+        object.__setattr__(self, "trace_facet_normals",
+                           np.concatenate([normals[:off], normals]))
 
     # -- queries ---------------------------------------------------------------
 
@@ -299,10 +312,9 @@ def _edge_normals(xa: np.ndarray, xb: np.ndarray, away_from: np.ndarray):
 def _node_normals(mesh: RefMesh, nodes: np.ndarray, facet_nodes: np.ndarray,
                   facet_normals: np.ndarray) -> np.ndarray:
     """Unit node normals as the normalized average of adjacent facet normals."""
-    acc = np.zeros((mesh.n_nodes, 2))
-    np.add.at(acc, facet_nodes[:, 0], facet_normals)
-    np.add.at(acc, facet_nodes[:, 1], facet_normals)
-    out = acc[nodes]
+    ends = facet_nodes.T.ravel()                 # every first end, then every second
+    out = np.column_stack([np.bincount(ends, weights=np.tile(facet_normals[:, k], 2),
+                                       minlength=mesh.n_nodes) for k in range(2)])[nodes]
     nrm = np.linalg.norm(out, axis=1, keepdims=True)
     return out / nrm
 

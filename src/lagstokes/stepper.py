@@ -463,10 +463,7 @@ class StokesWorkspace:
         if data.R is None:
             raise DataError("nonzero divergence datum g requires a flux potential R")
         # (g, phi) = -(R, grad phi) for continuous phi vanishing on Gamma_plus
-        gl = np.zeros(mesh.n_nodes)
-        gcells = fem.cell_values(data.g)[:, 0]
-        contrib = (mesh.areas * gcells)[:, None] / 3.0 * np.ones(3)
-        np.add.at(gl, mesh.cells.ravel(), contrib.ravel())
+        gl = fem.scalar_load(mesh, fem.cell_values(data.g)[:, 0])
         rl = fem.gradient_load(mesh, fem.cell_values(data.R))
         free = mesh.free_potential_nodes
         mismatch = np.linalg.norm(gl[free] + rl[free])

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.sparse as sp
 
-from . import fem
+from . import fem, kernel
 from .errors import GeometryError, NumericError, ParameterError, ShapeError, SolverError
 from .fem import Factorized
 from .mesh import Field, RefMesh
@@ -109,7 +109,7 @@ def _jump_lift(mesh: RefMesh, beta: np.ndarray) -> Field:
     """Doubled field whose plus trace equals beta on Gamma and vanishes
     elsewhere; realizes [[theta]] = beta strongly."""
     lift = Field.zeros(mesh, 1)
-    lift.values[mesh.sdof_plus[mesh.gamma_nodes], 0] = beta
+    lift.values[mesh.trace_sdofs[:len(mesh.gamma_nodes)], 0] = beta
     return lift
 
 
@@ -199,17 +199,13 @@ def pressure_reconstruct_K(u: Field, params: MaterialParams,
 
     rhs = fem.gradient_load(mesh, w_cells)
 
-    gn = mesh.gamma_nodes
-    nrm = mesh.node_normals_gamma
-    sp_ = S[mesh.sdof_plus[gn]]
-    sm_ = S[mesh.sdof_minus[gn]]
-    snn_p = np.einsum("ni,nij,nj->n", nrm, sp_, nrm)
-    snn_m = np.einsum("ni,nij,nj->n", nrm, sm_, nrm)
-    beta = (snn_p - snn_m) - (d[mesh.sdof_plus[gn]] - d[mesh.sdof_minus[gn]])
-
-    osd = mesh.outer_sdofs
-    onrm = mesh.node_normals_outer
-    gamma = np.einsum("ni,nij,nj->n", onrm, S[osd], onrm) - d[osd]
+    # (mu D(u) n . n) - div u at the traces: both sides of Gamma, then Gamma_plus
+    ng = len(mesh.gamma_nodes)
+    sdofs = mesh.trace_sdofs
+    trace = kernel.normal_part(kernel.to_planes(S[sdofs]),
+                               kernel.vector_planes(mesh.trace_node_normals)) - d[sdofs]
+    beta = trace[:ng] - trace[ng:2 * ng]
+    gamma = trace[2 * ng:]
 
     alpha_norm = float(np.sqrt(np.dot(mesh.areas, np.einsum("ck,ck->c", w_cells, w_cells))))
     return _solve_with_jumps(_TransmissionWorkspace(mesh, params), rhs, beta, gamma,

@@ -163,3 +163,17 @@ def test_saddle_and_condensation_match_oracles(mesh, mu, dt):
     assert_same_csr(lu._condense, want[1])
     assert_same_csr(lu._expand, want[2])
     assert_same_csr(lu.matrix, saddle)
+
+
+def test_nodal_loads_equal_the_add_at_form(mesh):
+    # np.bincount adds in index order from zero, as np.add.at does
+    rng = np.random.default_rng(21)
+    w = rng.standard_normal((mesh.n_cells, 2))
+    c = rng.standard_normal(mesh.n_cells)
+    want = np.zeros(mesh.n_nodes)
+    np.add.at(want, mesh.cells.ravel(),
+              (np.einsum("cak,ck->ca", mesh.grads, w) * mesh.areas[:, None]).ravel())
+    assert fem.gradient_load(mesh, w).tobytes() == want.tobytes()
+    want = np.zeros(mesh.n_nodes)
+    np.add.at(want, mesh.cells.ravel(), ((mesh.areas * c)[:, None] / 3.0 * np.ones(3)).ravel())
+    assert fem.scalar_load(mesh, c).tobytes() == want.tobytes()

@@ -5,8 +5,8 @@ from lagstokes import fem
 from lagstokes.errors import ConvergenceError, DomainError, GeometryError, SingularityError
 from lagstokes.kernel import (CofactorField, DisplacementGradient, accumulate_gradient,
                               deformation_tensors, delta_cofactor, direct_inverse_oracle,
-                              mul2x2, neumann_cofactor, pushforward_normal,
-                              _spectral_norms)
+                              from_planes, neumann_cofactor, pushforward_normal,
+                              rate_tensors, to_planes, _spectral_norms)
 from lagstokes.mesh import Field, build_two_phase_disk
 
 
@@ -31,7 +31,7 @@ def identity_cofactor(mesh):
 
 def identity_residual(A, C):
     """max over nodes of ||A (I + C) - I||."""
-    return float(_spectral_norms(mul2x2(A.mats, C.mats + np.eye(2)) - np.eye(2)).max())
+    return float(_spectral_norms(A.mats @ (C.mats + np.eye(2)) - np.eye(2)).max())
 
 
 def minus_identity_norm(A):
@@ -249,6 +249,54 @@ def test_linear_field_constant_cofactor_closed_form(mesh):
     assert np.allclose(t.H, np.broadcast_to(H_ref, t.H.shape), atol=1e-13)
     assert np.allclose(t.D_tilde, np.broadcast_to(D_ref @ (np.eye(2) - Amat), t.D.shape),
                        atol=1e-13)
+
+
+def strided_rate_tensors(G, A):
+    """D = G + G^T and D_A = G A^T + A G^T written out entry by entry on
+    the (..., 2, 2) layout: the bit oracle of the plane kernel."""
+    D, Du = np.empty(G.shape), np.empty(G.shape)
+    for i in range(2):
+        for k in range(2):
+            D[..., i, k] = G[..., i, k] + G[..., k, i]
+            Du[..., i, k] = ((G[..., i, 0] * A[..., k, 0] + G[..., i, 1] * A[..., k, 1])
+                             + (A[..., i, 0] * G[..., k, 0] + A[..., i, 1] * G[..., k, 1]))
+    return D, Du
+
+
+def bit_equal(got, ref):
+    return (got.shape == ref.shape and np.array_equal(got, ref)
+            and np.array_equal(np.signbit(got), np.signbit(ref)))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (7, 2, 2), (3, 7, 2, 2)])
+def test_rate_tensors_are_bit_equal_to_the_strided_formulas(shape):
+    rng = np.random.default_rng(15)
+    G, A = rng.standard_normal(shape), rng.standard_normal(shape)
+    G.flat[::5] = -0.0                       # signed zeros among the entries
+    A.flat[2::7] = 0.0
+    d, du = (from_planes(t) for t in rate_tensors(to_planes(G), to_planes(A)))
+    D_ref, Du_ref = strided_rate_tensors(G, A)
+    assert bit_equal(d, D_ref)
+    assert bit_equal(du, Du_ref)
+    # einsum sums from a zero accumulator, so it is a value oracle only
+    GAt = np.einsum("...ij,...kj->...ik", G, A)
+    assert np.array_equal(du, GAt + np.swapaxes(GAt, -1, -2))
+
+
+def test_deformation_tensors_are_bit_equal_to_the_strided_formulas(mesh):
+    rng = np.random.default_rng(16)
+    u = Field.from_nodal(mesh, rng.standard_normal((mesh.n_nodes, 2)))
+    A = identity_cofactor(mesh).mats + 0.2 * rng.standard_normal((mesh.nsdof, 2, 2))
+    G = fem.recover_gradient(u)
+    t = deformation_tensors(u, CofactorField(mesh, A))
+    ImA = -A
+    ImA[:, 0, 0] += 1.0
+    ImA[:, 1, 1] += 1.0
+    D_ref, Du_ref = strided_rate_tensors(G, A)
+    assert bit_equal(t.D, D_ref)
+    assert bit_equal(t.Du, Du_ref)
+    assert bit_equal(t.H, strided_rate_tensors(G, ImA)[1])
+    assert np.array_equal(t.D_tilde, np.einsum("nij,njk->nik", D_ref, ImA))
 
 
 def test_h_identity_for_arbitrary_fields(mesh):

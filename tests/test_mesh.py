@@ -349,6 +349,72 @@ def test_boundary_views_match_the_facet_tables(layout_mesh):
             getattr(mesh, name)[0] = 0
 
 
+def test_trace_gathers_follow_the_facet_tables(layout_mesh):
+    mesh = layout_mesh
+    ni, ng = mesh.n_interface_facets, len(mesh.gamma_nodes)
+    want = np.concatenate([mesh.interface_facets[:, 2], mesh.interface_facets[:, 3],
+                           mesh.outer_facets[:, 2]])
+    assert np.array_equal(mesh.trace_cells, want)
+    assert np.array_equal(mesh.phase[mesh.trace_cells],
+                          np.repeat([1, -1, mesh.outer_phase],
+                                    [ni, ni, len(mesh.outer_facets)]))
+    assert np.array_equal(mesh.trace_facet_normals,
+                          np.concatenate([mesh.facet_normals[:ni], mesh.facet_normals]))
+    # each facet normal points out of the plus cell on Gamma, out of the
+    # domain on Gamma_plus, and into the minus cell's side on Gamma's minus half
+    centroids = mesh.nodes[mesh.cells].mean(axis=1)[mesh.trace_cells]
+    ends = np.concatenate([mesh.interface_facets[:, :2], mesh.interface_facets[:, :2],
+                           mesh.outer_facets[:, :2]])
+    outward = np.sum(mesh.trace_facet_normals
+                     * (mesh.nodes[ends].mean(axis=1) - centroids), axis=1)
+    assert np.all(outward[:ni] > 0) and np.all(outward[ni:2 * ni] < 0)
+    assert np.all(outward[2 * ni:] > 0)
+    assert np.array_equal(mesh.trace_node_normals, np.concatenate(
+        [mesh.node_normals_gamma, mesh.node_normals_gamma, mesh.node_normals_outer]))
+    assert len(mesh.trace_node_normals) == len(mesh.trace_sdofs) == 2 * ng + len(
+        mesh.gamma_plus_nodes)
+    for name in ("trace_cells", "trace_facet_normals", "trace_node_normals"):
+        with pytest.raises(ValueError):
+            getattr(mesh, name)[0] = 0
+
+
+@pytest.mark.parametrize("which", ["layout", "24x96"])
+def test_node_normals_equal_the_add_at_form(layout_mesh, which):
+    mesh = layout_mesh if which == "layout" else build_two_phase_disk(24, 96, 0.5, 1.0)
+    ni = mesh.n_interface_facets
+    for nodes, rows, normals, got in (
+            (mesh.gamma_nodes, mesh.interface_facets, mesh.facet_normals[:ni],
+             mesh.node_normals_gamma),
+            (mesh.gamma_plus_nodes, mesh.outer_facets, mesh.facet_normals[ni:],
+             mesh.node_normals_outer)):
+        acc = np.zeros((mesh.n_nodes, 2))
+        np.add.at(acc, rows[:, 0], normals)
+        np.add.at(acc, rows[:, 1], normals)
+        want = acc[nodes] / np.linalg.norm(acc[nodes], axis=1, keepdims=True)
+        assert np.array_equal(got, want)
+
+
+def test_interpolate_two_phase_checks_the_component_count():
+    mesh = build_two_phase_disk(2, 8, 0.5, 1.0)
+
+    def plus(x, y):
+        return np.array([x, y])
+
+    def minus(x, y):
+        return np.array([2 * x, y])
+
+    f = fem.interpolate_two_phase(mesh, plus, minus, 2)
+    assert f.ncomp == 2
+    assert np.array_equal(f.plus()[mesh.gamma_nodes], mesh.nodes[mesh.gamma_nodes])
+    for ncomp in (1, 3):
+        with pytest.raises(ShapeError):
+            fem.interpolate_two_phase(mesh, plus, minus, ncomp)
+        with pytest.raises(ShapeError):
+            fem.interpolate(mesh, plus, ncomp)
+    with pytest.raises(ShapeError):
+        fem.interpolate_two_phase(mesh, plus, lambda x, y: x, 2)
+
+
 def test_boundary_nodal_places_values_on_the_boundary(layout_mesh):
     mesh = layout_mesh
     rng = np.random.default_rng(3)
