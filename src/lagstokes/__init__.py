@@ -1,12 +1,14 @@
 """lagstokes: a desk-scale two-phase incompressible Stokes solver in
-Lagrangian coordinates on a fixed reference droplet, with cofactor-series
-geometry, weak elliptic transmission pressure, Picard fixed-point solves
-and conservation/decay diagnostics."""
+Lagrangian coordinates on a fixed reference droplet, with cofactor
+geometry (in closed form, and as the paper's series), weak elliptic
+transmission pressure, Picard fixed-point solves and conservation/decay
+diagnostics."""
 
 from .mesh import Field, RefMesh, build_two_phase_disk, facet_normal, jump
 from .kernel import (CofactorField, DisplacementGradient, TransformedNormal,
-                     accumulate_gradient, delta_cofactor, deformation_tensors,
-                     direct_inverse_oracle, neumann_cofactor, pushforward_normal)
+                     accumulate_gradient, closed_form_cofactor, delta_cofactor,
+                     deformation_tensors, direct_inverse_oracle, neumann_cofactor,
+                     pushforward_normal)
 from .transmission import (MaterialParams, RigidBasis, TransmissionSolution,
                            build_rigid_basis, helmholtz_project,
                            pressure_reconstruct_K, project_out_rigid,
@@ -26,8 +28,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Field", "RefMesh", "build_two_phase_disk", "facet_normal", "jump",
     "CofactorField", "DisplacementGradient", "TransformedNormal",
-    "accumulate_gradient", "delta_cofactor", "deformation_tensors",
-    "direct_inverse_oracle", "neumann_cofactor", "pushforward_normal",
+    "accumulate_gradient", "closed_form_cofactor", "delta_cofactor",
+    "deformation_tensors", "direct_inverse_oracle", "neumann_cofactor", "pushforward_normal",
     "MaterialParams", "RigidBasis", "TransmissionSolution",
     "build_rigid_basis", "helmholtz_project", "pressure_reconstruct_K",
     "project_out_rigid", "solve_transmission_with_jumps", "solve_weak_transmission",

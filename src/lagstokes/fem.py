@@ -16,6 +16,7 @@ for the bubble of cell c.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec     # kernel of csr @ vector
@@ -289,17 +290,23 @@ def apply_sparse(op: sp.spmatrix, arr: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out.reshape((op.shape[0],) + moved.shape[1:]), 0, axis)
 
 
-def csr_matvec(op: sp.csr_matrix, vec: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """op @ vec for a CSR matrix and a vector, written into the contiguous
-    float ``out``.  It runs scipy's kernel of ``op @ vec`` on a zeroed
-    output, so the sums are the same bits, without the operator's dispatch
-    and allocation; the step loop of a march makes thousands of these small
-    products."""
+def csr_matvec_of(op: sp.csr_matrix):
+    """matvec(vec, out): op @ vec for the CSR matrix ``op`` and a vector,
+    written into the contiguous float ``out`` and returned.  It runs
+    scipy's kernel of ``op @ vec`` on a zeroed output, so the sums are the
+    same bits, without the operator's dispatch and allocation, and with
+    the operator's arrays fetched once; the step loop of a march makes
+    thousands of these small products with a few operators."""
     if op.format != "csr":
-        raise ShapeError(f"csr_matvec needs a CSR matrix, got {op.format}")
-    out.fill(0.0)
-    _csr_matvec(op.shape[0], op.shape[1], op.indptr, op.indices, op.data, vec, out)
-    return out
+        raise ShapeError(f"csr_matvec_of needs a CSR matrix, got {op.format}")
+    (n_row, n_col), indptr, indices, data = op.shape, op.indptr, op.indices, op.data
+
+    def matvec(vec, out):
+        out.fill(0.0)
+        _csr_matvec(n_row, n_col, indptr, indices, data, vec, out)
+        return out
+
+    return matvec
 
 
 # Batched evaluations over the time axis of a stack run in blocks of this
@@ -365,9 +372,45 @@ def cell_gradients(field: Field) -> np.ndarray:
     return np.swapaxes(g.reshape(g.shape[:-2] + (mesh.n_cells, 2, field.ncomp)), -1, -2)
 
 
+def short_sum(a: np.ndarray) -> np.ndarray:
+    """np.sum(a, axis=-1) of an array whose last axis has unit stride,
+    written out as whole-array additions for the short lengths of the
+    Jacobian and cell sums, which cost less than numpy's reduction, one
+    call per row.  The bits are numpy's, signed zeros included: it sums
+    such an axis in order below 8 entries and, at 8, as
+    ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)), and adds the sum
+    onto +0.0, which turns a sum of negative zeros into +0.0.  Lengths
+    other than 2, 3, 4 and 8 go to np.sum."""
+    n = a.shape[-1]
+    if 2 <= n <= 4:
+        out = a[..., 0] + a[..., 1]
+        for j in range(2, n):
+            out += a[..., j]
+    elif n == 8:
+        pairs = [a[..., j] + a[..., j + 1] for j in range(0, 8, 2)]
+        out = pairs[0] + pairs[1]
+        out += pairs[2] + pairs[3]
+    else:
+        return np.sum(a, axis=-1)
+    out += 0.0
+    return out
+
+
+def cell_means(values: np.ndarray, cell_sdofs: np.ndarray, axis: int = -2) -> np.ndarray:
+    """Mean over each cell's three scalar dofs, which ``values`` holds
+    along the negative ``axis``: ``np.take(values, cell_sdofs, axis)``
+    averaged over ``axis``, bit for bit, as ((0.0 + v0) + v1) + v2 over 3
+    in numpy's order, without gathering all three."""
+    out = np.take(values, cell_sdofs[:, 0], axis) + np.take(values, cell_sdofs[:, 1], axis)
+    out += np.take(values, cell_sdofs[:, 2], axis)
+    out += 0.0
+    out /= 3.0
+    return out
+
+
 def cell_values(field: Field) -> np.ndarray:
     """Cell-centroid values of a P1 field, ([n_steps,] nc, ncomp)."""
-    return field.values[..., field.mesh.cell_sdofs, :].mean(axis=-2)
+    return cell_means(field.values, field.mesh.cell_sdofs)
 
 
 def recover_gradient(field: Field, cell_grads: np.ndarray | None = None) -> np.ndarray:
@@ -405,7 +448,14 @@ def field_l2(field: Field):
 
 def field_h1_semi(field: Field, cell_grads: np.ndarray | None = None):
     g = cell_gradients(field) if cell_grads is None else cell_grads
-    sq = np.sum(g * g, axis=(-2, -1))
+    # numpy's sum of the squares walks the memory of cell_gradients,
+    # (..., nc, 2, ncomp): a field's 2 x ncomp block of a cell is one run;
+    # a stack's is two runs of ncomp, one per derivative, added in turn
+    sq = np.swapaxes(g * g, -1, -2)
+    if sq.strides[-2] == sq.shape[-1] * sq.itemsize:
+        sq = short_sum(sq.reshape(sq.shape[:-2] + (-1,)))
+    else:
+        sq = short_sum(sq[..., 0, :]) + short_sum(sq[..., 1, :])
     return _sqrt_nonneg(sq @ field.mesh.areas)
 
 
@@ -457,6 +507,11 @@ def interpolate_two_phase(mesh: RefMesh, fn_plus, fn_minus, ncomp: int = 1) -> F
 # CondensedSaddle accepts from its set-up probe solve.  A sound factor gives
 # a few units of roundoff (about 4e-16); a near-zero pivot gives O(1).
 _PROBE_BACKWARD_ERROR_TOL = 1e-10
+
+# Largest condensed step system, in rows, that CondensedSaddle solves with
+# a dense inverse instead of SuperLU: 3x12 has 231 rows, 4x16 403, 5x20
+# 623, 6x24 891 and 24x96 13,923.  Measured in the class docstring.
+DENSE_CORE_MAX_ROWS = 500
 
 
 class Factorized:
@@ -560,6 +615,62 @@ def condense_bubbles(a: sp.csr_matrix, n_nodal: int, n_velocity: int):
     return reduced, condense, expand
 
 
+class _DenseCore:
+    """The dense inverse of a small condensed system, in place of SuperLU's
+    factor: it has the factor's ``shape``, ``nnz`` (the inverse's entries),
+    ``solve`` and ``L`` and ``U``.  The first solve computes the inverse
+    from a pivoted LAPACK factorization (getrf, getri), then runs
+    ``check``, the owner's probe, which solves through the new inverse and
+    raises SolverError if it is unstable; the inverse is then dropped, so
+    every later solve builds and checks it again and raises again.  A
+    solve is one BLAS product.
+
+    A one-column product would take BLAS's matrix-vector kernel, whose sums
+    differ from those of a column of the two-column product, so a single
+    right-hand side is solved as a block whose second column is zero; a
+    column of the product does not depend on the other columns.  The
+    solves of one or two right-hand sides therefore give the same bits
+    column by column, as SuperLU's triangular solves do."""
+
+    def __init__(self, matrix: sp.spmatrix, check):
+        self.shape = matrix.shape
+        self.nnz = matrix.shape[0] ** 2
+        self._matrix, self._check, self.inverse = matrix, check, None
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self.inverse is None:
+            # in place on a column-major copy: the inverse is column-major too
+            dense = self._matrix.toarray(order="F")
+            lu, piv, info = sla.lapack.dgetrf(dense, overwrite_a=True)
+            if info == 0:
+                self.inverse, info = sla.lapack.dgetri(lu, piv, overwrite_lu=True)
+            if info != 0:
+                raise SolverError(f"dense condensed core is singular (LAPACK info {info})")
+            try:
+                self._check()
+            except SolverError:
+                self.inverse = None
+                raise
+        cols = rhs.reshape(len(rhs), -1)
+        if cols.shape[1] >= 2:
+            return self.inverse @ np.asfortranarray(cols)
+        block = np.zeros((len(rhs), 2), order="F")
+        block[:, 0] = cols[:, 0]
+        return (self.inverse @ block)[:, 0].reshape(rhs.shape)
+
+    @property
+    def L(self) -> sp.csc_matrix:
+        """The unit lower factor of the pivoted LU, as SuperLU gives it;
+        the factors are not kept, so this factors again."""
+        lu = sla.lapack.dgetrf(self._matrix.toarray())[0]
+        return sp.csc_matrix(np.tril(lu, -1) + np.eye(len(lu)))
+
+    @property
+    def U(self) -> sp.csc_matrix:
+        """The upper factor of the pivoted LU; see :attr:`L`."""
+        return sp.csc_matrix(np.triu(sla.lapack.dgetrf(self._matrix.toarray())[0]))
+
+
 class CondensedSaddle(Factorized):
     """Solver for the MINI saddle [[K, -B^T], [B, 0]] with the bubbles
     condensed out (Arnold, Brezzi & Fortin, Calcolo 21, 1984).
@@ -574,37 +685,75 @@ class CondensedSaddle(Factorized):
         [[S, C], [C^T, -D]],   S = K_pp - K_pb K_bb^-1 K_bp,
         C = K_pb K_bb^-1 B_b^T - B_p^T,   D = B_b K_bb^-1 B_b^T,
 
-    which is factored without pivoting; the bubbles are recovered cellwise
-    from u_b = K_bb^-1 (f_b - K_bp u_p + B_b^T q).  ``matrix`` is the full
-    saddle and ``_lu`` the factor of the condensed system.  ``solve`` takes
-    one step of iterative refinement against the full saddle, which
-    restores the backward stability that pivoting would otherwise provide
-    (Skeel, Math. Comp. 35, 1980); ``solve_unrefined`` is the bare
-    condensed solve, for callers that schedule the refinement themselves.
-    Both take a right-hand side or a block of them, one per column.
+    of ``n_condensed`` rows, whose solver ``_lu`` is the core; the bubbles
+    are recovered cellwise from u_b = K_bb^-1 (f_b - K_bp u_p + B_b^T q).
+    ``matrix`` is the full saddle.  ``solve`` takes one step of iterative
+    refinement against the full saddle, which restores the backward
+    stability that the core's inverse or unpivoted factor lacks (Skeel,
+    Math. Comp. 35, 1980); ``solve_unrefined`` is the bare condensed solve,
+    for callers that schedule the refinement themselves.  Both take a
+    right-hand side or a block of them, one per column.
+
+    The core (``core``) is picked by size.  Up to ``DENSE_CORE_MAX_ROWS``
+    rows it is ``"dense"``, the pivoted dense inverse of
+    :class:`_DenseCore`.  Above, it is ``"superlu"``, SuperLU's factor on
+    the diagonal pivots in a symmetric fill-reducing order, which keeps
+    the fill far below that of a pivoted LU.  ``Factorized.solve`` of a
+    two-column block, at dt = 0.05, minimum of 300 runs, one BLAS thread on
+    a 2-vCPU Xeon with 4 MiB of L2 cache per core:
+
+        mesh   rows   SuperLU   dense
+        3x12    231     34 us    14 us
+        2x24    315     54       25
+        4x16    403     82       42
+        5x20    623    156      176
+        6x24    891    181      766
+
+    The dense product slows down sharply once the inverse outgrows the L2
+    cache.
 
     D is only positive semidefinite, so the no-pivoting guarantee for
-    quasi-definite matrices does not cover it: an elimination order can
-    meet a pivot that vanishes in exact arithmetic, and roundoff then
-    leaves one of size 1e-18 and a solve that is wrong by orders of
-    magnitude.  That happens on meshes with two radial layers per phase.
-    The set-up therefore makes one refined solve of a fixed random right-hand
-    side and raises ``SolverError`` when its componentwise backward error
-    exceeds ``_PROBE_BACKWARD_ERROR_TOL``.
+    quasi-definite matrices does not cover the SuperLU core: an elimination
+    order can meet a pivot that vanishes in exact arithmetic, and roundoff
+    then leaves one of size 1e-18 and a solve that is wrong by orders of
+    magnitude.  That happens on meshes with two radial layers per phase,
+    which are small enough for the pivoted dense core.  Each core makes
+    one refined probe solve of a fixed random right-hand side and raises
+    ``SolverError`` when its componentwise backward error exceeds
+    ``_PROBE_BACKWARD_ERROR_TOL``: the SuperLU core when it is factored,
+    here, and the dense core when its inverse is built, on the first
+    solve.  A march makes its first solve on the calling thread, so the
+    inverse exists before a worker thread asks for it.
     """
 
     def __init__(self, saddle: sp.spmatrix, n_nodal: int, n_velocity: int):
         a = saddle.tocsr()
         self._bubbles = slice(n_nodal, n_velocity)
         reduced, self._condense, self._expand = condense_bubbles(a, n_nodal, n_velocity)
-        super().__init__(reduced, quasi_definite=True)
+        self.n_condensed = reduced.shape[0]
+        if self.n_condensed <= DENSE_CORE_MAX_ROWS:
+            self._lu = _DenseCore(reduced, self._probe)      # probed when built
+        else:
+            super().__init__(reduced, quasi_definite=True)
         self.matrix = a
+        if self.core == "superlu":
+            self._probe()
+
+    def _probe(self):
+        """Raise SolverError if a refined solve of a fixed random
+        right-hand side has a componentwise backward error above
+        ``_PROBE_BACKWARD_ERROR_TOL``."""
+        a = self.matrix
         probe = np.random.default_rng(0).standard_normal(a.shape[0])
         x = self.solve(probe)
         omega = np.max(np.abs(a @ x - probe) / (abs(a) @ np.abs(x) + np.abs(probe)))
         if not omega <= _PROBE_BACKWARD_ERROR_TOL:
-            raise SolverError(f"unpivoted condensed factor is unstable: a probe solve has "
+            raise SolverError(f"condensed {self.core} core is unstable: a probe solve has "
                               f"componentwise backward error {omega:.3g}")
+
+    @property
+    def core(self) -> str:
+        return "dense" if isinstance(self._lu, _DenseCore) else "superlu"
 
     def solve_unrefined(self, rhs: np.ndarray) -> np.ndarray:
         y = super().solve(self._condense @ rhs)
@@ -618,22 +767,22 @@ class CondensedSaddle(Factorized):
         """``solve_unrefined`` of two right-hand sides at a time, for a
         caller that solves many pairs: solve(rhs0, rhs1, out0, out1) writes
         the two solutions into ``out0`` and ``out1`` with one two-column
-        triangular solve, and its buffers are allocated once.  Each column
-        is condensed and expanded on its own: a one-column product is
+        core solve, and its buffers are allocated once.  Each column is
+        condensed and expanded on its own: a one-column product is
         bit-equal to its column of the two-column product, and cheaper."""
-        condense, expand, bubbles = self._condense, self._expand, self._bubbles
-        nc = condense.shape[0]
+        condense, expand = csr_matvec_of(self._condense), csr_matvec_of(self._expand)
+        nc, bubbles = self.n_condensed, self._bubbles
         pair = np.empty((nc, 2), order="F")
-        expand_in = np.empty((2, expand.shape[1]))
+        expand_in = np.empty((2, self._expand.shape[1]))
 
         def solve(rhs0, rhs1, out0, out1):
-            csr_matvec(condense, rhs0, pair[:, 0])
-            csr_matvec(condense, rhs1, pair[:, 1])
+            condense(rhs0, pair[:, 0])
+            condense(rhs1, pair[:, 1])
             y = Factorized.solve(self, pair)
             for j, rhs, out in ((0, rhs0, out0), (1, rhs1, out1)):
                 expand_in[j, :nc] = y[:, j]
                 expand_in[j, nc:] = rhs[bubbles]
-                csr_matvec(expand, expand_in[j], out)
+                expand(expand_in[j], out)
 
         return solve
 
@@ -642,16 +791,16 @@ class CondensedSaddle(Factorized):
         the one-column counterpart of :meth:`pair_solver`: solve(rhs, out)
         writes the solution into ``out`` and returns it, and its buffers are
         allocated once, so each thread that solves takes its own solver.  A
-        one-column triangular solve gives the same bits as its column of
-        the two-column solve."""
-        condense, expand, bubbles = self._condense, self._expand, self._bubbles
-        nc = condense.shape[0]
+        one-column core solve gives the same bits as its column of the
+        two-column solve."""
+        condense, expand = csr_matvec_of(self._condense), csr_matvec_of(self._expand)
+        nc, bubbles = self.n_condensed, self._bubbles
         col = np.empty(nc)
-        expand_in = np.empty(expand.shape[1])
+        expand_in = np.empty(self._expand.shape[1])
 
         def solve(rhs, out):
-            expand_in[:nc] = Factorized.solve(self, csr_matvec(condense, rhs, col))
+            expand_in[:nc] = Factorized.solve(self, condense(rhs, col))
             expand_in[nc:] = rhs[bubbles]
-            return csr_matvec(expand, expand_in, out)
+            return expand(expand_in, out)
 
         return solve

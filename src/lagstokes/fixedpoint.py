@@ -272,7 +272,7 @@ def compute_nonlinear_terms(u_hist, q_hist, A: kernel.CofactorField,
 
     # cellwise exact quantities for the weak momentum source
     q_c = fem.cell_values(q)[..., 0]
-    a_c = a_n[..., mesh.cell_sdofs].mean(axis=-1)                 # (2, 2, k, nc)
+    a_c = fem.cell_means(a_n, mesh.cell_sdofs, axis=-1)           # (2, 2, k, nc)
     d_c, du_c = kernel.rate_tensors(kernel.to_planes(G_c), a_c)
     eye = np.eye(2)[:, :, None, None]
     t_c = mu_c * d_c - q_c * eye
@@ -430,14 +430,17 @@ def _build_geometry(mesh, grads: np.ndarray, dt, cfg, C0=None):
 
     Returns (C at step n, cofactor stack for steps 0..n, kappa_max); C0
     carries prior accumulation for continued runs, and otherwise the
-    gradient at step 0 seeds the trapezoid left endpoint.
+    gradient at step 0 seeds the trapezoid left endpoint.  The cofactors
+    are the closed-form inverses, behind the kappa check that makes the
+    caller halve its horizon; the Neumann series stays as the paper's
+    construction that they are checked against.
     """
     C = C0 if C0 is not None else kernel.DisplacementGradient(mesh)
     if C._last_grad is None:
         C = C.copy()
         C.seed_left_endpoint(grads[0])
     C_steps = kernel.accumulate_gradient(C, grads[1:], dt)
-    A = kernel.neumann_cofactor(
+    A = kernel.closed_form_cofactor(
         kernel.DisplacementGradient(mesh, np.concatenate([C.mats[None], C_steps.mats])),
         kappa=cfg.kappa_cap)
     return C_steps.last(), A, A.kappa

@@ -1,12 +1,17 @@
 """Lagrangian map geometry: accumulated displacement gradients, the
-cofactor matrix via its Neumann series, difference fields, pushforward
-normals and the deformation-tensor variants entering the nonlinear terms.
+cofactor matrix A = (I + C)^{-1}, difference fields, pushforward normals
+and the deformation-tensor variants entering the nonlinear terms.
 
 All quantities are per-node 2x2 matrices on the doubled scalar dof layout,
-so interface nodes carry independent plus/minus traces.  The series is
-valid while the accumulated gradient stays strictly inside the unit ball;
-callers are expected to shrink their time horizon when the kappa check
-fails.
+so interface nodes carry independent plus/minus traces.  The cofactor has
+two forms.  The truncated Neumann series :func:`neumann_cofactor` is the
+paper's construction, valid while the accumulated gradient stays strictly
+inside the unit ball.  The continuation takes the closed-form 2x2 inverse
+:func:`closed_form_cofactor`, behind the same kappa check: it is exact
+where the series stops at its tolerance, and costs one division per entry
+instead of a product per order.  The tests and the acceptance criteria
+check the series against the closed form.  Callers are expected to shrink
+their time horizon when the kappa check fails.
 
 The gradient accumulation, the cofactor series and the pushforward normals
 also take a stack of times (a leading axis on the matrices) and treat each
@@ -16,9 +21,10 @@ The component-plane kernels below are the package's one 2x2 algebra:
 products, matrix-vector products, norms, I - A, unit vectors, normal parts
 n . (M n) and the rate tensors D and D_A.  The nonlinear terms on cells,
 on nodes and on both boundaries, the Lagrangian dissipation and the
-boundary data of the pressure reconstruction all call them; only the
-closed-form inverse :func:`direct_inverse_oracle`, the series' test
-oracle, stays on the strided (..., 2, 2) layout.
+boundary data of the pressure reconstruction all call them, and so do
+the closed-form inverses of :func:`closed_form_cofactor` and the series'
+test oracle :func:`direct_inverse_oracle`, which share one
+implementation.
 """
 
 from __future__ import annotations
@@ -234,9 +240,10 @@ class CofactorField:
     """Per-node cofactor matrices A = (I + C)^{-1} with series metadata, for
     one time (``mats`` (nsdof, 2, 2)) or a stack of times (a leading axis).
 
-    ``orders`` and ``kappas`` hold each time's series order and bound on
-    ||C|| (0-d for a single time); ``order`` is their total and ``kappa``
-    their maximum, so for a single time they are that time's values.
+    ``orders`` and ``kappas`` hold each time's series order (-1 for the
+    closed form) and bound on ||C|| (0-d for a single time); ``order`` is
+    their total and ``kappa`` their maximum, so for a single time they are
+    that time's values.
     """
 
     mesh: RefMesh
@@ -272,11 +279,16 @@ class TransformedNormal:
     outer: np.ndarray        # ([n_steps,] n_outer_nodes, 2)
 
 
-def _i_plus(C: np.ndarray) -> np.ndarray:
-    out = C.copy()
-    out[..., 0, 0] += 1.0
-    out[..., 1, 1] += 1.0
-    return out
+def _checked_norms(c: np.ndarray, kappa: float) -> np.ndarray:
+    """The largest node norm of each time of a (2, 2, ...) plane stack of
+    C; raises GeometryError past ``kappa``, where the callers shrink the
+    time horizon."""
+    kmax = norms_planes(c).max(axis=-1)              # one per time
+    if np.any(kmax > kappa * (1.0 + 1e-12)):         # boundary ||C|| = kappa admissible
+        raise GeometryError(
+            f"displacement gradient norm {kmax.max():.3g} exceeds kappa={kappa}; "
+            "reduce the time horizon")
+    return kmax
 
 
 def neumann_cofactor(C: DisplacementGradient, tol: float = DEFAULT_SERIES_TOL,
@@ -291,11 +303,7 @@ def neumann_cofactor(C: DisplacementGradient, tol: float = DEFAULT_SERIES_TOL,
     result, order and kappa of a single-time call.
     """
     c = to_planes(C.mats)
-    kmax = norms_planes(c).max(axis=-1)              # one per time
-    if np.any(kmax > kappa * (1.0 + 1e-12)):         # boundary ||C|| = kappa admissible
-        raise GeometryError(
-            f"displacement gradient norm {kmax.max():.3g} exceeds kappa={kappa}; "
-            "reduce the time horizon")
+    kmax = _checked_norms(c, kappa)
     acc = eye_minus(np.zeros_like(c))
     term = acc.copy()
     order = np.zeros(kmax.shape, dtype=np.int64)
@@ -314,20 +322,45 @@ def neumann_cofactor(C: DisplacementGradient, tol: float = DEFAULT_SERIES_TOL,
     return CofactorField(C.mesh, from_planes(acc), orders=order, kappas=kmax)
 
 
+def _det_i_plus(c: np.ndarray) -> np.ndarray:
+    """det(I + C) of a (2, 2, ...) plane stack of C."""
+    return (c[0, 0] + 1.0) * (c[1, 1] + 1.0) - c[0, 1] * c[1, 0]
+
+
+def _inverse_planes(c: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """(I + C)^{-1} of a (2, 2, ...) plane stack of C in closed form, with
+    ``det`` = det(I + C)."""
+    inv = np.empty_like(c)
+    np.divide(c[1, 1] + 1.0, det, out=inv[0, 0])
+    np.divide(c[0, 0] + 1.0, det, out=inv[1, 1])
+    np.divide(-c[0, 1], det, out=inv[0, 1])
+    np.divide(-c[1, 0], det, out=inv[1, 0])
+    return inv
+
+
+def closed_form_cofactor(C: DisplacementGradient,
+                         kappa: float = DEFAULT_KAPPA) -> CofactorField:
+    """A = (I + C)^{-1} by the closed-form 2x2 inverse, after the kappa
+    check of :func:`neumann_cofactor`, which it replaces where the series
+    is not itself the object: inside the kappa ball I + C is invertible,
+    and the series agrees with it to its truncation tolerance.  ``orders``
+    are -1, no series was summed."""
+    c = to_planes(C.mats)
+    kmax = _checked_norms(c, kappa)
+    return CofactorField(C.mesh, from_planes(_inverse_planes(c, _det_i_plus(c))),
+                         orders=np.full(kmax.shape, -1), kappas=kmax)
+
+
 def direct_inverse_oracle(C: DisplacementGradient) -> CofactorField:
-    """Closed-form per-node 2x2 inverse of (I + C); the series oracle."""
-    m = _i_plus(C.mats)
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    """Closed-form per-node 2x2 inverse of (I + C) without the kappa check;
+    the series oracle.  Raises SingularityError where I + C is singular."""
+    c = to_planes(C.mats)
+    det = _det_i_plus(c)
     bad = np.nonzero(np.abs(det) < 1e-300)[-1]
     if len(bad):
         raise SingularityError(f"singular map at node {bad[0]}", node=int(bad[0]))
-    inv = np.empty_like(m)
-    inv[..., 0, 0] = m[..., 1, 1] / det
-    inv[..., 1, 1] = m[..., 0, 0] / det
-    inv[..., 0, 1] = -m[..., 0, 1] / det
-    inv[..., 1, 0] = -m[..., 1, 0] / det
-    return CofactorField(C.mesh, inv, orders=np.full(det.shape[:-1], -1),
-                         kappas=_spectral_norms(C.mats).max(axis=-1))
+    return CofactorField(C.mesh, from_planes(_inverse_planes(c, det)),
+                         orders=np.full(det.shape[:-1], -1), kappas=norms_planes(c).max(axis=-1))
 
 
 def delta_cofactor(C1: DisplacementGradient, C2: DisplacementGradient,

@@ -55,24 +55,24 @@ class RefMesh:
     outer_phase: int             # phase label of cells touching Gamma_plus
     gamma_minus_facets: tuple = ()   # container-case wall; carried, unused
 
-    # derived quantities, filled in __post_init__
-    gamma_nodes: np.ndarray = dc_field(default=None, repr=False)
-    gamma_plus_nodes: np.ndarray = dc_field(default=None, repr=False)
-    areas: np.ndarray = dc_field(default=None, repr=False)
-    grads: np.ndarray = dc_field(default=None, repr=False)   # (nc, 3, 2) barycentric gradients
-    facet_normals: np.ndarray = dc_field(default=None, repr=False)
-    facet_lengths: np.ndarray = dc_field(default=None, repr=False)
-    sdof_plus: np.ndarray = dc_field(default=None, repr=False)
-    sdof_minus: np.ndarray = dc_field(default=None, repr=False)
-    cell_sdofs: np.ndarray = dc_field(default=None, repr=False)
-    sdof_phase: np.ndarray = dc_field(default=None, repr=False)
-    outer_sdofs: np.ndarray = dc_field(default=None, repr=False)  # (n_gamma_plus_nodes,)
-    trace_sdofs: np.ndarray = dc_field(default=None, repr=False)  # (2 ng + n_gamma_plus_nodes,)
-    node_normals_gamma: np.ndarray = dc_field(default=None, repr=False)
-    node_normals_outer: np.ndarray = dc_field(default=None, repr=False)
-    trace_node_normals: np.ndarray = dc_field(default=None, repr=False)   # at trace_sdofs
-    trace_cells: np.ndarray = dc_field(default=None, repr=False)  # (2 ni + n_outer_facets,)
-    trace_facet_normals: np.ndarray = dc_field(default=None, repr=False)  # at trace_cells
+    # derived quantities, filled in __post_init__; not constructor arguments
+    gamma_nodes: np.ndarray = dc_field(init=False, repr=False)
+    gamma_plus_nodes: np.ndarray = dc_field(init=False, repr=False)
+    areas: np.ndarray = dc_field(init=False, repr=False)
+    grads: np.ndarray = dc_field(init=False, repr=False)   # (nc, 3, 2) barycentric gradients
+    facet_normals: np.ndarray = dc_field(init=False, repr=False)
+    facet_lengths: np.ndarray = dc_field(init=False, repr=False)
+    sdof_plus: np.ndarray = dc_field(init=False, repr=False)
+    sdof_minus: np.ndarray = dc_field(init=False, repr=False)
+    cell_sdofs: np.ndarray = dc_field(init=False, repr=False)
+    sdof_phase: np.ndarray = dc_field(init=False, repr=False)
+    outer_sdofs: np.ndarray = dc_field(init=False, repr=False)  # (n_gamma_plus_nodes,)
+    trace_sdofs: np.ndarray = dc_field(init=False, repr=False)  # (2 ng + n_gamma_plus_nodes,)
+    node_normals_gamma: np.ndarray = dc_field(init=False, repr=False)
+    node_normals_outer: np.ndarray = dc_field(init=False, repr=False)
+    trace_node_normals: np.ndarray = dc_field(init=False, repr=False)   # at trace_sdofs
+    trace_cells: np.ndarray = dc_field(init=False, repr=False)  # (2 ni + n_outer_facets,)
+    trace_facet_normals: np.ndarray = dc_field(init=False, repr=False)  # at trace_cells
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", np.ascontiguousarray(self.nodes, dtype=float))

@@ -15,9 +15,10 @@ and the rigid momenta are conserved to solver roundoff.
 The step system is solved with the cell bubbles condensed out
 (:class:`lagstokes.fem.CondensedSaddle`): for dt > 0 the velocity block
 M/dt + A is symmetric positive definite, so the condensed system on the
-nodal velocities and pressures is symmetric quasi-definite and is factored
-without pivoting, and one step of iterative refinement against the full
-saddle keeps each solve backward stable.  Every backward-Euler recurrence
+nodal velocities and pressures is symmetric quasi-definite.  A small one
+is solved by its pivoted dense inverse and a large one is factored without
+pivoting, and one step of iterative refinement against the full saddle
+keeps each solve backward stable.  Every backward-Euler recurrence
 (``step_linear``, ``run_linear`` and the Picard corrections) runs through
 one step loop, :meth:`StokesWorkspace.march_blocks`, which pipelines that
 refinement into two chains: the unrefined solves, each from the previous
@@ -295,7 +296,7 @@ class StokesWorkspace:
         """rhs(x, ld, out): out = [M x_u / dt, 0] + ld, with ld None for zero
         data; the product goes through a buffer of its own, so each thread
         of a march takes its own rhs."""
-        nu, mass = self.nu, self.mass
+        nu, mass = self.nu, fem.csr_matvec_of(self.mass)
         mx = np.empty(nu)
 
         def rhs(x, ld, out):
@@ -303,7 +304,7 @@ class StokesWorkspace:
                 out.fill(0.0)
             else:
                 out[:] = ld
-            out[:nu] += np.divide(fem.csr_matvec(mass, x[:nu], mx), dt, out=mx)
+            out[:nu] += np.divide(mass(x[:nu], mx), dt, out=mx)
             return out
 
         return rhs
@@ -511,13 +512,14 @@ class _Chains:
     def pair(self, m0: int, m1: int):
         """Both chains on this thread: the refinement solve of x_m and the
         unrefined solve of x~_{m+1} share one two-column triangular solve."""
-        matrix, rhs, solve_pair = self.lu.matrix, self.rhs, self.lu.pair_solver()
+        matrix, rhs = fem.csr_matvec_of(self.lu.matrix), self.rhs
+        solve_pair = self.lu.pair_solver()
         b, bt, sx, corr = self.b, self.bt, self.sx, self.corr
         load, row, slots = self.load, self.row, self.slots
         for m in range(m0, m1):
             xt, xt_next = slots[m % len(slots)], slots[(m + 1) % len(slots)]
             ld = None if load is None else load(m)
-            np.subtract(b, fem.csr_matvec(matrix, xt, sx), out=b)     # r_m
+            np.subtract(b, matrix(xt, sx), out=b)                     # r_m
             solve_pair(b, rhs(xt, ld, bt), corr, xt_next)            # x~_{m+1}
             x = row(m)
             np.add(xt, corr, out=x)                # refined x_m
@@ -557,7 +559,8 @@ class _Chains:
                 raise exc
             return ld
 
-        matrix, b, sx, corr, rhs = lu.matrix, self.b, self.sx, self.corr, self.rhs
+        matrix, rhs = fem.csr_matvec_of(lu.matrix), self.rhs
+        b, sx, corr = self.b, self.sx, self.corr
         solve = lu.column_solver()
         worker = threading.Thread(target=unrefined_chain, name="unrefined-chain", daemon=True)
         worker.start()
@@ -565,7 +568,7 @@ class _Chains:
             wall, cpu = _clocks()
             for m in range(m0, m1):
                 xt = slot(m)
-                np.subtract(b, fem.csr_matvec(matrix, xt, sx), out=b)     # r_m
+                np.subtract(b, matrix(xt, sx), out=b)                     # r_m
                 x = self.row(m)
                 np.add(xt, solve(b, corr), out=x)  # refined x_m
                 rhs(x, take(), b)                  # b_{m+1}

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lagstokes import fem, kernel
-from lagstokes.errors import DomainError, ParameterError, ValidationError
+from lagstokes import fem, fixedpoint, kernel
+from lagstokes.errors import DomainError, GeometryError, ParameterError, ValidationError
 from lagstokes.fixedpoint import (IterationConfig, compute_nonlinear_terms,
                                   cutoff_extension, extension_reflect,
                                   fit_x_recursion, global_continue,
@@ -33,6 +33,21 @@ def smooth_datum(mesh, ws, amp):
 
     u0 = fem.interpolate(mesh, lambda x, y: amp * profile(x, y), 2)
     return project_out_rigid(u0, ws.rigid_basis(), PARAMS)
+
+
+@pytest.mark.parametrize("rate, raises", [(4.0, False), (10.1, True)])
+def test_build_geometry_raises_past_kappa_cap(mesh, rate, raises):
+    # a constant gradient accumulates to ||C|| = rate * dt * steps; past
+    # kappa_cap the geometry raises the error that halves the horizon
+    cfg = IterationConfig(kappa_cap=0.5)
+    grads = np.broadcast_to(rate * np.eye(2), (3, mesh.nsdof, 2, 2))
+    if raises:
+        with pytest.raises(GeometryError):
+            fixedpoint._build_geometry(mesh, grads, 0.05, cfg)
+    else:
+        _, A, kappa = fixedpoint._build_geometry(mesh, grads, 0.05, cfg)
+        assert kappa == pytest.approx(0.4)
+        assert np.allclose(A.mats[-1], np.eye(2) / 1.4)
 
 
 # -- exponent arithmetic -----------------------------------------------------------

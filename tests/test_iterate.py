@@ -1,6 +1,7 @@
 """The small-array layers of one Picard iterate: the written-out 2x2
 kernels, the cofactor series' masked accumulation, the sparse-form L2 norm,
-and the gradients and norms that one iterate computes once and shares."""
+the written-out short sums, and the gradients and norms that one iterate
+computes once and shares."""
 
 import numpy as np
 import pytest
@@ -60,6 +61,52 @@ def test_apply2x2_is_bit_equal_to_einsum(shape_m, shape_v):
     got = kernel.from_vector_planes(kernel.apply_planes(kernel.to_planes(m),
                                                         kernel.vector_planes(v)))
     assert np.array_equal(got, np.einsum("...ij,...j->...i", m, v))
+
+
+def with_signed_zeros(rng, shape):
+    """Random entries, one row of negative zeros and one of mixed zeros."""
+    out = rng.standard_normal(shape)
+    out.flat[::5] = -0.0
+    out[..., 0, :] = -0.0
+    out[..., 1, ::2] = 0.0
+    out[..., 1, 1::2] = -0.0
+    return out
+
+
+def bit_equal(got, ref):
+    return (got.shape == ref.shape and np.array_equal(got, ref)
+            and np.array_equal(np.signbit(got), np.signbit(ref)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 1, 5, 9])
+def test_short_sum_is_bit_equal_to_np_sum(n):
+    # lengths 2, 3, 4 and 8 are written out; the others fall back to np.sum
+    a = with_signed_zeros(np.random.default_rng(3), (3, 40, n))
+    assert bit_equal(fem.short_sum(a), np.sum(a, axis=-1))
+    assert bit_equal(fem.short_sum(a[1]), np.sum(a[1], axis=-1))
+
+
+@pytest.mark.parametrize("shape, axis", [((85, 2), -2), ((4, 85, 1), -2), ((2, 2, 4, 85), -1)])
+def test_cell_means_are_bit_equal_to_np_mean(mesh, shape, axis):
+    shape = tuple(mesh.nsdof if k == 85 else k for k in shape)
+    values = with_signed_zeros(np.random.default_rng(4), shape)
+    values.reshape(-1)[:mesh.nsdof] = -0.0            # cells of negative zeros only
+    ref = np.take(values, mesh.cell_sdofs, axis).mean(axis=axis)
+    assert bit_equal(fem.cell_means(values, mesh.cell_sdofs, axis), ref)
+
+
+@pytest.mark.parametrize("ncomp", [1, 2, 4])
+@pytest.mark.parametrize("n_steps", [None, 1, 7])
+def test_h1_seminorm_is_bit_equal_to_the_reduction(mesh, ncomp, n_steps):
+    # a field's cell block is one run of 2 ncomp squares, a stack's two runs
+    rng = np.random.default_rng(5)
+    field = two_phase_stack(mesh, rng, n_steps or 1, ncomp)
+    if n_steps is None:
+        field = field[0]
+    g = fem.cell_gradients(field)
+    ref = np.sqrt(np.maximum(np.sum(g * g, axis=(-2, -1)) @ mesh.areas, 0.0))
+    assert bit_equal(np.asarray(fem.field_h1_semi(field)), ref)
+    assert bit_equal(np.asarray(fem.field_h1_semi(field, g)), ref)
 
 
 def series_by_time(mats, tol=kernel.DEFAULT_SERIES_TOL):

@@ -4,6 +4,7 @@ import pytest
 from lagstokes import fem
 from lagstokes.errors import ConvergenceError, DomainError, GeometryError, SingularityError
 from lagstokes.kernel import (CofactorField, DisplacementGradient, accumulate_gradient,
+                              closed_form_cofactor,
                               deformation_tensors, delta_cofactor, direct_inverse_oracle,
                               from_planes, neumann_cofactor, pushforward_normal,
                               rate_tensors, to_planes, _spectral_norms)
@@ -117,6 +118,14 @@ def test_kappa_violation_raises(mesh):
     C = DisplacementGradient(mesh, constant_gradient(mesh, [[0.9, 0.0], [0.0, 0.0]]))
     with pytest.raises(GeometryError):
         neumann_cofactor(C, kappa=0.5)
+
+
+def test_closed_form_cofactor_kappa_violation_raises(mesh):
+    C = DisplacementGradient(mesh, constant_gradient(mesh, [[0.9, 0.0], [0.0, 0.0]]))
+    with pytest.raises(GeometryError):
+        closed_form_cofactor(C, kappa=0.5)
+    A = closed_form_cofactor(C, kappa=0.95)
+    assert np.allclose(A.mats[:, 0, 0], 1.0 / 1.9) and A.kappa == pytest.approx(0.9)
 
 
 def test_max_order_exhaustion_raises(mesh):

@@ -245,6 +245,18 @@ def test_mesh_arrays_immutable():
         mesh.nodes[0, 0] = 99.0
 
 
+@pytest.mark.parametrize("derived", [{"trace_cells": np.zeros(3, dtype=int)},
+                                     {"gamma_nodes": np.array([0])}],
+                         ids=["trace_cells", "gamma_nodes"])
+def test_derived_arrays_are_not_constructor_arguments(derived):
+    # __post_init__ builds them; a given one would be overwritten unseen
+    mesh = build_two_phase_disk(2, 8, 0.5, 1.0)
+    with pytest.raises(TypeError):
+        RefMesh(nodes=mesh.nodes, cells=mesh.cells, phase=mesh.phase,
+                interface_facets=mesh.interface_facets, outer_facets=mesh.outer_facets,
+                outer_phase=mesh.outer_phase, **derived)
+
+
 def test_field_shape_checks():
     mesh = build_two_phase_disk(2, 8, 0.5, 1.0)
     from lagstokes.errors import ShapeError

@@ -122,6 +122,19 @@ def test_stacked_cofactor_matches_oracle(n_radial, n_angular, n_steps, seed, sca
         assert err <= 1e-12
 
 
+def test_closed_form_cofactor_matches_the_series(setup):
+    # the continuation's cofactor against the paper's series on the stacked
+    # accumulated gradients; it shares its inverse with the oracle, bit for bit
+    mesh, _, _, singles = setup
+    C = DisplacementGradient(mesh, np.stack([c.mats for c in singles]))
+    A = kernel.closed_form_cofactor(C)
+    series = kernel.neumann_cofactor(C)
+    assert rel_err(A.mats, series.mats) <= 1e-13
+    assert np.array_equal(A.kappas, series.kappas) and A.orders.tolist() == [-1] * len(singles)
+    for m, c in enumerate(singles):
+        assert np.array_equal(A.mats[m], kernel.direct_inverse_oracle(c).mats)
+
+
 def test_global_continue_csvs_byte_identical(tmp_path):
     mesh = build_two_phase_disk(3, 12, 0.5, 1.0)
     ws = StokesWorkspace(mesh, PARAMS)
