@@ -345,11 +345,11 @@ def _cmd_solve_nonlinear(cfg: RunConfig) -> int:
     itcfg = cfg.iteration()
     traj, report = picard_solve_local(u0, itcfg, params, workspace=ws)
     _write_trajectory(cfg, mesh, traj, params, ws)
-    rows = report.csv_rows()
+    # the first iterate has no contraction factor
     write_csv(cfg.out_dir / "iteration_report.csv", {
-        "iteration": np.array([r[0] for r in rows]),
-        "contraction_factor": np.array([r[1] for r in rows]),
-        "picard_distance": np.array([r[2] for r in rows]),
+        "iteration": np.arange(1, len(report.distances) + 1),
+        "contraction_factor": np.array([float("nan")] + report.contraction_factors),
+        "picard_distance": np.array(report.distances),
     })
     _write_manifest(cfg, {"subcommand": "solve-nonlinear",
                           "mesh_hash": mesh.mesh_hash(),

@@ -8,6 +8,11 @@ into the linear stepper.  Horizons obey the smallness conditions derived
 from the exponent arithmetic, with adaptive halving when the measured
 contraction factor is too large or the displacement gradient leaves the
 series region.  Everything is deterministic for fixed inputs.
+
+Both public paths run one segment solve (``_Segment.solve``) on march
+solution stacks, rows [u dofs | pressures]: :func:`picard_solve_local`
+wraps one segment in a :class:`Trajectory`, :func:`global_continue` chains
+segments, each starting from the previous stack's last velocity.
 """
 
 from __future__ import annotations
@@ -415,13 +420,6 @@ class IterationReport:
     L_bound: float
     horizon_halvings: int
 
-    def csv_rows(self):
-        rows = []
-        for i, d in enumerate(self.distances):
-            fac = self.contraction_factors[i - 1] if i >= 1 else float("nan")
-            rows.append((i + 1, fac, d))
-        return rows
-
 
 def _build_geometry(mesh, grads: np.ndarray, dt, cfg, C0=None):
     """Accumulated displacement gradients and cofactors along a velocity
@@ -448,169 +446,181 @@ def _build_geometry(mesh, grads: np.ndarray, dt, cfg, C0=None):
 
 def picard_solve_local(v0: Field, cfg: IterationConfig, params: MaterialParams,
                        workspace: StokesWorkspace | None = None,
-                       C0: kernel.DisplacementGradient | None = None,
-                       X0: np.ndarray | None = None,
-                       t0: float = 0.0,
                        rho0: Field | None = None,
                        f_ext=None,
-                       mu_nodal: Field | None = None,
-                       bubble0: np.ndarray | None = None) -> tuple[Trajectory, IterationReport]:
-    """Fixed-point solve of the nonlinear system on a short horizon.
+                       mu_nodal: Field | None = None) -> tuple[Trajectory, IterationReport]:
+    """Fixed-point solve of the nonlinear system on a short horizon from t = 0.
 
     The initial velocity is projected into the discrete divergence-free
-    space, the horizon is chosen by the measured linear bound through the
-    smallness conditions, and the Picard map (geometry from the previous
-    iterate, one linear solve per iterate) runs until the successive
-    trajectory distance falls below tolerance.  The horizon is halved when
-    the series region or the contraction target is violated.  It takes at
-    least ``cfg.min_steps`` steps but never runs past ``cfg.horizon``
-    (rounded to the time grid).
+    space and handed to the segment solve (``_Segment.solve``): the horizon
+    is chosen by the measured linear bound through the smallness
+    conditions, and the Picard map (geometry from the previous iterate, one
+    linear solve per iterate) runs until the successive trajectory distance
+    falls below tolerance.  The horizon is halved when the series region or
+    the contraction target is violated.  It takes at least ``cfg.min_steps``
+    steps but never runs past ``cfg.horizon`` (rounded to the time grid).
 
     ``rho0`` (initial density), ``f_ext(x, y, t)`` (external force, composed
     with the Lagrangian map) and ``mu_nodal`` (tabulated smooth viscosity)
     enable the general local path; the defaults give the piecewise-constant
     forceless case the global continuation builds on.
     """
-    mesh = v0.mesh
     if mu_nodal is not None:
-        ws = StokesWorkspace(mesh, params,
-                             mu_cells=fem.cell_values(mu_nodal)[:, 0])
+        ws = StokesWorkspace(v0.mesh, params, mu_cells=fem.cell_values(mu_nodal)[:, 0])
     else:
-        ws = workspace or StokesWorkspace(mesh, params)
-    if C0 is None:
-        v0, _ = helmholtz_project(v0, params, ws)
+        ws = workspace or StokesWorkspace(v0.mesh, params)
+    v0, _ = helmholtz_project(v0, params, ws)
+    segment = _Segment(ws, cfg, rho0=rho0, f_ext=f_ext, mu_nodal=mu_nodal)
+    xs, cofactors, maps, _, report = segment.solve(ws.state_vector(v0))
+    times = segment.t0 + cfg.dt * np.arange(report.n_steps + 1)
+    return _trajectory(ws, times, xs, cofactors, maps), report
 
-    # horizon from the measured linear bound; every attempt takes its linear
-    # part from the leading states of this run
-    n_hor = max(int(round(cfg.horizon / cfg.dt)), 1)
-    n_cap = max(min(n_hor, int(round(1.0 / cfg.dt))), cfg.min_steps)
-    lin_vecs, lin_u, lin_q = _split_stack(
-        ws, ws.march(cfg.dt, ws.state_vector(v0, bubble0), n_cap))
 
-    @cache
-    def lin_norm(n: int) -> float:
-        """Trajectory norm of the linear stacks' steps 0..n, computed once."""
-        return max(trajectory_norm(lin_u[:n + 1], lin_q[:n + 1], cfg.dt, cfg.p), 1e-12)
+def _fields(ws, xs: np.ndarray) -> tuple[Field, Field]:
+    """The velocity and pressure field stacks of a solution stack, rows
+    [u dofs | pressures] as :meth:`StokesWorkspace.march` makes them."""
+    return fem.uvec_to_field(ws.mesh, xs[:, :ws.nu]), Field(ws.mesh, 1, xs[:, ws.nu:, None])
 
-    L = cfg.L_bound
-    if L <= 0:
-        L = lin_norm(n_cap)
-    T = min(select_local_T(L, cfg.exponents, cfg.p, cfg.C_cal), cfg.horizon)
-    n_steps = min(max(int(math.ceil(T / cfg.dt - 1e-12)), cfg.min_steps), n_cap, n_hor)
-    halvings = 0
 
-    while True:
-        head = slice(0, n_steps + 1)
-        try:
-            result = _picard_attempt(lin_u[head], lin_q[head], lin_vecs[head],
-                                     lin_norm(n_steps), cfg, params, ws, C0, X0, t0, rho0,
-                                     f_ext, mu_nodal)
-        except (GeometryError, NonContractionError):
-            if n_steps // 2 < cfg.min_steps:
-                raise
+def _trajectory(ws, times, xs, cofactors, maps, meta=None) -> Trajectory:
+    """The trajectory of a solution stack, with its kinetic-energy series."""
+    uvecs = xs[:, :ws.nu]
+    return Trajectory(times=times, uvecs=uvecs, q=Field(ws.mesh, 1, xs[:, ws.nu:, None]),
+                      diagnostics={"energy": ws.kinetic_energy(uvecs)}, cofactors=cofactors,
+                      lagrangian_maps=maps, meta=meta or {}, workspace=ws)
+
+
+@dataclass(frozen=True)
+class _Segment:
+    """One local solve's fixed inputs: the workspace (which holds the
+    material parameters) and the solver settings, the continuation state the
+    segment starts from (accumulated displacement gradient ``C0``, particle
+    positions ``X0`` and time ``t0``; None, None and 0 at the start of the
+    motion), and the general local path's ``rho0``, ``f_ext`` and
+    ``mu_nodal``."""
+
+    ws: StokesWorkspace
+    cfg: IterationConfig
+    C0: kernel.DisplacementGradient | None = None
+    X0: np.ndarray | None = None
+    t0: float = 0.0
+    rho0: Field | None = None
+    f_ext: object = None
+    mu_nodal: Field | None = None
+
+    def solve(self, x0: np.ndarray):
+        """The segment from the march start ``x0`` (velocity dofs and zero
+        pressure).  Returns its solution stack, cofactor stack, Lagrangian
+        maps, displacement gradient at the last step and IterationReport."""
+        cfg = self.cfg
+        # horizon from the measured linear bound; every attempt takes its
+        # linear part from the leading rows of this march
+        n_hor = max(int(round(cfg.horizon / cfg.dt)), 1)
+        n_cap = max(min(n_hor, int(round(1.0 / cfg.dt))), cfg.min_steps)
+        lin = self.ws.march(cfg.dt, x0, n_cap)
+
+        @cache
+        def lin_norm(n: int) -> float:
+            """Trajectory norm of the linear stack's steps 0..n, computed once."""
+            return max(trajectory_norm(*_fields(self.ws, lin[:n + 1]), cfg.dt, cfg.p), 1e-12)
+
+        L = cfg.L_bound
+        if L <= 0:
+            L = lin_norm(n_cap)
+        T = min(select_local_T(L, cfg.exponents, cfg.p, cfg.C_cal), cfg.horizon)
+        n_steps = min(max(int(math.ceil(T / cfg.dt - 1e-12)), cfg.min_steps), n_cap, n_hor)
+        halvings = 0
+
+        while True:
+            last = n_steps // 2 < cfg.min_steps
+            try:
+                result = self._attempt(lin[:n_steps + 1], lin_norm(n_steps))
+            except (GeometryError, NonContractionError):
+                if last:
+                    raise
+            else:
+                report = result[-1]
+                if last or (report.converged and max(report.contraction_factors[1:], default=0.0)
+                            < cfg.contraction_target):
+                    report.horizon_halvings, report.L_bound = halvings, L
+                    return result
             n_steps //= 2
             halvings += 1
-            continue
-        traj, report = result
-        if report.converged and max(report.contraction_factors[1:], default=0.0) \
-                < cfg.contraction_target:
-            report.horizon_halvings = halvings
-            report.L_bound = L
-            return traj, report
-        if n_steps // 2 < cfg.min_steps:
-            report.horizon_halvings = halvings
-            report.L_bound = L
-            return traj, report
-        n_steps //= 2
-        halvings += 1
 
+    def _maps(self, xs: np.ndarray) -> np.ndarray:
+        """Nodal particle positions X = xi + int u dtau (trapezoid) at every
+        step of the solution stack, (n_steps, n_nodes, 2)."""
+        mesh = self.ws.mesh
+        X = mesh.nodes if self.X0 is None else self.X0
+        up = fem.uvec_nodal(mesh, xs[:, :self.ws.nu])
+        return np.cumsum(np.concatenate([X[None], 0.5 * self.cfg.dt * (up[:-1] + up[1:])]),
+                         axis=0)
 
-def _lagrangian_maps(mesh, u: Field, dt, X0) -> np.ndarray:
-    """Nodal particle positions X = xi + int u dtau (trapezoid) at every
-    step of the field stack u, (n_steps, n_nodes, 2)."""
-    X = mesh.nodes if X0 is None else X0
-    up = u.plus()
-    return np.cumsum(np.concatenate([X[None], 0.5 * dt * (up[:-1] + up[1:])]), axis=0)
+    def _iterate_data(self, xs: np.ndarray, maps):
+        """Geometry along the solution stack (steps 0..n) and its nonlinear
+        data at steps 1..n, in one evaluation; the velocity's cell gradients
+        and recovered Jacobians are computed once and serve both.  ``maps``
+        are the stack's Lagrangian maps, needed only with an external force.
+        Returns (C at step n, cofactor stack, kappa_max, nonlinear data)."""
+        dt = self.cfg.dt
+        u, q = _fields(self.ws, xs)
+        G_c = fem.cell_gradients(u)
+        G_n = fem.recover_gradient(u, G_c)
+        C_end, A, kappa_max = _build_geometry(u.mesh, G_n, dt, self.cfg, self.C0)
+        n = len(A.mats) - 1
+        rhs = compute_nonlinear_terms(u, q, A[1:], self.ws.params, dt, rho0=self.rho0,
+                                      f_ext=self.f_ext,
+                                      X=None if maps is None else maps[1:],
+                                      eval_time=self.t0 + dt * np.arange(1, n + 1),
+                                      mu_nodal=self.mu_nodal, grads=(G_c[1:], G_n[1:]))
+        return C_end, A, kappa_max, rhs
 
+    def _attempt(self, lin: np.ndarray, scale: float):
+        """Picard iteration on the horizon of the linear solution stack
+        (steps 0..n); each iterate evaluates its geometry and nonlinear data
+        over the whole stack at once, and only the backward-Euler solves run
+        step by step.  The iteration stops when the iterates' distance falls
+        below ``cfg.fp_tol * scale``, with ``scale`` the linear stack's
+        trajectory norm.  Returns what :meth:`solve` returns."""
+        ws, cfg = self.ws, self.cfg
+        dt, p = cfg.dt, cfg.p
+        forced = self.f_ext is not None
+        corr = np.zeros_like(lin)          # the correction's solution stack
+        distances, factors = [], []
+        converged = False
 
-def _iterate_data(mesh, u: Field, q: Field, maps, cfg, C0, params, dt, t0, rho0, f_ext,
-                  mu_nodal):
-    """Geometry along the stacks u, q (steps 0..n) and their nonlinear data
-    at steps 1..n, in one evaluation; u's cell gradients and recovered
-    Jacobians are computed once and serve both.  Returns (C at step n,
-    cofactor stack, kappa_max, nonlinear data)."""
-    G_c = fem.cell_gradients(u)
-    G_n = fem.recover_gradient(u, G_c)
-    C_end, A, kappa_max = _build_geometry(mesh, G_n, dt, cfg, C0)
-    n = len(A.mats) - 1
-    rhs = compute_nonlinear_terms(u, q, A[1:], params, dt, rho0=rho0, f_ext=f_ext,
-                                  X=None if maps is None else maps[1:],
-                                  eval_time=t0 + dt * np.arange(1, n + 1),
-                                  mu_nodal=mu_nodal, grads=(G_c[1:], G_n[1:]))
-    return C_end, A, kappa_max, rhs
+        for _ in range(cfg.max_iters):
+            xs = lin + corr
+            *_, rhs = self._iterate_data(xs, self._maps(xs) if forced else None)
+            corr_new = _solve_correction(ws, dt, rhs)
+            dist = trajectory_norm(*_fields(ws, corr_new - corr), dt, p)
+            distances.append(dist)
+            if len(distances) >= 2 and distances[-2] > 0:
+                factors.append(dist / distances[-2])
+            corr = corr_new
+            if dist <= cfg.fp_tol * scale:
+                converged = True
+                break
+        if not converged:
+            fac = factors[-1] if factors else float("inf")
+            if fac >= 1.0:
+                raise NonContractionError(
+                    f"Picard iteration failed to contract (factor {fac:.3f})", factor=fac)
 
-
-def _picard_attempt(lin_u, lin_q, lin_vecs, scale, cfg, params, ws, C0, X0, t0, rho0,
-                    f_ext, mu_nodal):
-    """Picard iteration on the horizon of the linear stacks (steps 0..n);
-    each iterate evaluates its geometry and nonlinear data over the whole
-    stack at once, and only the backward-Euler solves run step by step.
-    The iteration stops when the iterates' distance falls below
-    ``cfg.fp_tol * scale``, with ``scale`` the linear stacks' trajectory
-    norm."""
-    mesh = ws.mesh
-    dt, p = cfg.dt, cfg.p
-    n_steps = len(lin_vecs) - 1
-    terms = dict(cfg=cfg, C0=C0, params=params, dt=dt, t0=t0, rho0=rho0, f_ext=f_ext,
-                 mu_nodal=mu_nodal)
-
-    U = Field(mesh, 2, np.zeros_like(lin_u.values))
-    Q = Field(mesh, 1, np.zeros_like(lin_q.values))
-    U_vecs = np.zeros_like(lin_vecs)
-    distances, factors = [], []
-    converged = False
-
-    for it in range(cfg.max_iters):
-        W, Th = lin_u + U, lin_q + Q
-        maps = _lagrangian_maps(mesh, W, dt, X0) if f_ext is not None else None
-        *_, rhs = _iterate_data(mesh, W, Th, maps, **terms)
-        U_new_vecs, U_new, Q_new = _solve_correction(ws, dt, rhs)
-        dist = trajectory_norm(U_new - U, Q_new - Q, dt, p)
-        distances.append(dist)
-        if len(distances) >= 2 and distances[-2] > 0:
-            factors.append(dist / distances[-2])
-        U, Q, U_vecs = U_new, Q_new, U_new_vecs
-        if dist <= cfg.fp_tol * scale:
-            converged = True
-            break
-    if not converged:
-        fac = factors[-1] if factors else float("inf")
-        if fac >= 1.0:
-            raise NonContractionError(
-                f"Picard iteration failed to contract (factor {fac:.3f})", factor=fac)
-
-    # the composed solution; its geometry and nonlinear data are built once
-    # and shared by the trajectory companions and the substituted residual
-    u, q = lin_u + U, lin_q + Q
-    u_vecs = lin_vecs + U_vecs
-    maps = _lagrangian_maps(mesh, u, dt, X0)
-    C_end, A_u, kappa_max, rhs_u = _iterate_data(mesh, u, q, maps if f_ext is not None
-                                                 else None, **terms)
-    traj = Trajectory(times=t0 + dt * np.arange(n_steps + 1), uvecs=u_vecs, q=q,
-                      diagnostics={"energy": ws.kinetic_energy(u_vecs)},
-                      cofactors=A_u.mats, lagrangian_maps=maps,
-                      meta={"displacement": C_end}, workspace=ws)
-
-    residual = _substituted_residual(ws, dt, u_vecs, q, rhs_u)
-    ball = trajectory_norm(U, Q, dt, p)
-    xi, xio = _xi_norms(mesh, U, rhs, params, dt, p, mu_nodal)
-    report = IterationReport(converged=converged, iterations=len(distances),
-                             contraction_factors=factors, distances=distances,
-                             horizon=n_steps * dt, n_steps=n_steps,
-                             kappa_max=kappa_max, residual=residual,
-                             ball_norm=ball, xi_norm=xi, xi_outer_norm=xio,
-                             L_bound=0.0, horizon_halvings=0)
-    return traj, report
+        # the composed solution; its geometry and nonlinear data are built once
+        # and shared by the returned companions and the substituted residual
+        xs = lin + corr
+        maps = self._maps(xs)
+        C_end, A, kappa_max, rhs_u = self._iterate_data(xs, maps if forced else None)
+        corr_u, corr_q = _fields(ws, corr)
+        n_steps = len(xs) - 1
+        xi, xio = _xi_norms(ws.mesh, corr_u, rhs, ws.params, dt, p, self.mu_nodal)
+        return xs, A.mats, maps, C_end, IterationReport(
+            converged=converged, iterations=len(distances), contraction_factors=factors,
+            distances=distances, horizon=n_steps * dt, n_steps=n_steps, kappa_max=kappa_max,
+            residual=_substituted_residual(ws, dt, xs, rhs_u),
+            ball_norm=trajectory_norm(corr_u, corr_q, dt, p), xi_norm=xi, xi_outer_norm=xio,
+            L_bound=0.0, horizon_halvings=0)
 
 
 def _momentum_rhs(ws, rhs_nl: NonlinearRHS) -> np.ndarray:
@@ -625,36 +635,26 @@ def _momentum_rhs(ws, rhs_nl: NonlinearRHS) -> np.ndarray:
     return load
 
 
-def _solve_correction(ws, dt, rhs_nl: NonlinearRHS):
+def _solve_correction(ws, dt, rhs_nl: NonlinearRHS) -> np.ndarray:
     """Backward-Euler march for the correction from rest, driven by the
     nonlinear data at steps 1..n; the sequential part of an iterate.
-    Returns the velocity dof stack and the velocity and pressure field
-    stacks, steps 0..n."""
+    Returns its solution stack, steps 0..n."""
     loads = np.concatenate([_momentum_rhs(ws, rhs_nl),
                             fem.apply_sparse(ws.pressure_mass, rhs_nl.g.values[..., 0], -1)],
                            axis=1)
-    return _split_stack(ws, ws.march(dt, np.zeros(ws.nu + ws.np_), len(loads),
-                                     lambda m: loads[m]))
+    return ws.march(dt, np.zeros(ws.nu + ws.np_), len(loads), lambda m: loads[m])
 
 
-def _split_stack(ws, xs: np.ndarray):
-    """The velocity dof stack and the velocity and pressure field stacks
-    of a march's solution stack."""
-    vecs = xs[:, :ws.nu]
-    return vecs, fem.uvec_to_field(ws.mesh, vecs), Field(ws.mesh, 1, xs[:, ws.nu:, None])
-
-
-def _substituted_residual(ws, dt, u_vecs, q: Field, rhs_nl: NonlinearRHS) -> float:
-    """Relative algebraic residual of the composed solution (velocity dof
-    stack and pressure field stack, steps 0..n) substituted back into the
-    discrete nonlinear system, with its own nonlinear data at steps 1..n."""
+def _substituted_residual(ws, dt, xs: np.ndarray, rhs_nl: NonlinearRHS) -> float:
+    """Relative algebraic residual of the composed solution stack (steps
+    0..n) substituted back into the discrete nonlinear system, with its own
+    nonlinear data at steps 1..n."""
     lu = ws.step_factorization(dt)
-    rhs = np.concatenate([fem.apply_sparse(ws.mass, u_vecs[:-1], -1) / dt
+    rhs = np.concatenate([fem.apply_sparse(ws.mass, xs[:-1, :ws.nu], -1) / dt
                           + _momentum_rhs(ws, rhs_nl),
                           fem.apply_sparse(ws.pressure_mass, rhs_nl.g.values[..., 0], -1)],
                          axis=1)
-    z = np.concatenate([u_vecs[1:], q.values[1:, :, 0]], axis=1)
-    r = fem.apply_sparse(lu.matrix, z, -1) - rhs
+    r = fem.apply_sparse(lu.matrix, xs[1:], -1) - rhs
     rel = np.linalg.norm(r, axis=1) / np.maximum(np.linalg.norm(rhs, axis=1), 1e-300)
     return float(rel.max())
 
@@ -735,6 +735,9 @@ def global_continue(v0: Field, cfg: IterationConfig, params: MaterialParams,
     against the bound 2 * a_cal * ||v0||.  Requires rho0 = eta (piecewise
     constant), zero external force, and eta-orthogonality of v0 to the
     rigid motions (projected when violated beyond tolerance).
+
+    The datum is projected once; each segment starts from the previous
+    segment's last velocity and bubble dofs with zero pressure.
     """
     mesh = v0.mesh
     ws = workspace or StokesWorkspace(mesh, params)
@@ -759,51 +762,43 @@ def global_continue(v0: Field, cfg: IterationConfig, params: MaterialParams,
     # global linear reference from the same datum; the continuation stops
     # at its final step, the horizon rounded to the time grid
     n_total = max(int(round(cfg.horizon / cfg.dt)), 1)
-    _, lin_u, lin_q = _split_stack(ws, ws.march(cfg.dt, ws.state_vector(v0), n_total))
-    x_functional = _XFunctional(lin_u, lin_q, cfg, eps0)
+    x0 = ws.state_vector(v0)
+    x_functional = _XFunctional(*_fields(ws, ws.march(cfg.dt, x0, n_total)), cfg, eps0)
 
     bound = 2.0 * cfg.a_cal * init_norm
-    # (velocity dofs, pressures, cofactors, maps) of each segment; a later
-    # segment drops its first row, the previous segment's last state
+    # (solution stack, cofactors, maps) of each segment; a later segment
+    # drops its first row, the previous segment's last state
     parts = []
     C_state, X_state = None, None
     x_times, x_vals, segments = [], [], []
     exceeded = False
-    t = 0.0
-    n_done = 0
-    current = v0
-    current_bubble = None
+    t, n_done = 0.0, 0
     while n_done < n_total and not exceeded:
-        seg_cfg = replace(cfg, horizon=(n_total - n_done) * cfg.dt)
-        traj, rep = picard_solve_local(current, seg_cfg, params, workspace=ws,
-                                       C0=C_state, X0=X_state, t0=t,
-                                       bubble0=current_bubble)
+        segment = _Segment(ws, replace(cfg, horizon=(n_total - n_done) * cfg.dt),
+                           C0=C_state, X0=X_state, t0=t)
+        xs, cofactors, maps, C_state, rep = segment.solve(x0)
         if not rep.converged:
             raise NonContractionError(
                 f"segment at t = {t:.4g} failed to converge "
                 f"(last factor {rep.contraction_factors[-1] if rep.contraction_factors else float('nan'):.3g})")
         segments.append(rep)
         first = 1 if parts else 0
-        parts.append((traj.uvecs[first:], traj.q.values[first:], traj.cofactors[first:],
-                      traj.lagrangian_maps[first:]))
+        parts.append((xs[first:], cofactors[first:], maps[first:]))
         n_done += rep.n_steps
-        C_state = traj.meta["displacement"]
-        X_state = traj.lagrangian_maps[-1]
-        t = traj.times[-1]
-        last = traj.states[-1]
-        current, current_bubble = last.u, last.bubble
+        X_state = maps[-1]
+        t = t + cfg.dt * rep.n_steps
+        # the next segment starts from the last velocity, with zero pressure
+        x0 = np.concatenate([xs[-1, :ws.nu], np.zeros(ws.np_)])
 
-        x_now = x_functional(traj.u, traj.q)
+        x_now = x_functional(*_fields(ws, xs))
         x_times.append(t)
         x_vals.append(x_now)
         if x_now > bound:
             exceeded = True
 
-    vecs, q, cofactors, maps = (np.concatenate(stacks) for stacks in zip(*parts))
-    full = Trajectory(times=cfg.dt * np.arange(n_done + 1), uvecs=vecs, q=Field(mesh, 1, q),
-                      diagnostics={"energy": ws.kinetic_energy(vecs)},
-                      cofactors=cofactors, lagrangian_maps=maps,
-                      meta={"eps0": eps0, "bound": bound}, workspace=ws)
+    xs, cofactors, maps = (np.concatenate(stacks) for stacks in zip(*parts))
+    full = _trajectory(ws, cfg.dt * np.arange(n_done + 1), xs, cofactors, maps,
+                       {"eps0": eps0, "bound": bound})
 
     from .diagnostics import decay_fit, momentum_and_barycenter
     vel = np.sqrt(np.maximum(2.0 * full.diagnostics["energy"], 1e-300))

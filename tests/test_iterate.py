@@ -237,8 +237,9 @@ def test_iterate_data_shares_the_gradients_of_its_own_steps(mesh):
     u, q = smooth_stacks(mesh)
     n = len(u.values) - 1
     cfg = IterationConfig(dt=DT)
-    C_end, A, kappa, rhs = fixedpoint._iterate_data(mesh, u, q, None, cfg, None, PARAMS, DT,
-                                                    0.0, None, None, None)
+    segment = fixedpoint._Segment(StokesWorkspace(mesh, PARAMS), cfg)
+    xs = np.concatenate([fem.field_to_uvec(u), q.values[..., 0]], axis=1)
+    C_end, A, kappa, rhs = segment._iterate_data(xs, None)
     C_ref, A_ref, kappa_ref = fixedpoint._build_geometry(mesh, fem.recover_gradient(u), DT, cfg)
     assert np.array_equal(A.mats, A_ref.mats) and kappa == kappa_ref
     assert np.array_equal(C_end.mats, C_ref.mats)

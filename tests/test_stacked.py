@@ -14,7 +14,7 @@ from lagstokes.fixedpoint import IterationConfig, compute_nonlinear_terms, globa
 from lagstokes.kernel import DisplacementGradient, _spectral_norms
 from lagstokes.mesh import Field, build_two_phase_disk
 from lagstokes.stepper import StokesState, StokesWorkspace, run_linear
-from lagstokes.transmission import MaterialParams, project_out_rigid
+from lagstokes.transmission import MaterialParams, _ProjectionWorkspace, project_out_rigid
 
 PARAMS = MaterialParams(2.0, 1.0, 0.3, 0.1)
 RTOL = 1e-12
@@ -290,36 +290,52 @@ def test_linear_states_equal_per_state_construction():
 def test_global_states_equal_joined_segment_states(monkeypatch):
     mesh = build_two_phase_disk(3, 12, 0.5, 1.0)
     ws = StokesWorkspace(mesh, PARAMS)
-    segments, picard_solve_local = [], fixedpoint.picard_solve_local
+    nu = ws.nu
+    segments, solve = [], fixedpoint._Segment.solve
 
-    def recording_solve(*args, **kwargs):
-        seg, report = picard_solve_local(*args, **kwargs)
-        segments.append(seg)
-        return seg, report
+    def recording_solve(segment, x0):
+        result = solve(segment, x0)
+        segments.append((segment.t0, *result[:3]))
+        return result
 
-    monkeypatch.setattr(fixedpoint, "picard_solve_local", recording_solve)
+    monkeypatch.setattr(fixedpoint._Segment, "solve", recording_solve)
     traj, _ = global_continue(_swirl(mesh, ws), IterationConfig(dt=DT, horizon=1.5, smallness=10.0),
                               PARAMS, workspace=ws)
     assert len(segments) > 1
-    # the former global_continue: each segment's per-state list, as its
-    # Picard solve built it, joined without each later segment's first state
+    # a later segment starts from the previous segment's last velocity and
+    # bubbles, with zero pressure
+    for (_, prev, _, _), (_, xs, _, _) in zip(segments, segments[1:]):
+        assert np.array_equal(xs[0, :nu], prev[-1, :nu]) and not xs[0, nu:].any()
+    # the former global_continue: each segment's per-state list, built from
+    # its solution stack, joined without each later segment's first state
     oracle = []
-    for seg in segments:
-        t0 = seg.times[0]
-        seg_states = [StokesState.from_uvec(mesh, seg.uvecs[m], seg.q[m], t0 + m * DT)
-                      for m in range(len(seg.times))]
+    for t0, xs, _, _ in segments:
+        seg_states = [StokesState.from_uvec(mesh, xs[m, :nu], Field(mesh, 1, xs[m, nu:, None]),
+                                            t0 + m * DT)
+                      for m in range(len(xs))]
         oracle.extend(seg_states if not oracle else seg_states[1:])
     assert len(traj.times) == round(1.5 / DT) + 1
+    cofactors = [seg[2] for seg in segments]
+    maps = [seg[3] for seg in segments]
     assert np.array_equal(traj.cofactors,
-                          np.concatenate([segments[0].cofactors]
-                                         + [seg.cofactors[1:] for seg in segments[1:]]))
+                          np.concatenate([cofactors[0]] + [c[1:] for c in cofactors[1:]]))
     assert np.array_equal(traj.lagrangian_maps,
-                          np.concatenate([segments[0].lagrangian_maps]
-                                         + [seg.lagrangian_maps[1:] for seg in segments[1:]]))
-    # a joined state's time is now the trajectory's own; the segment's
-    # t0 + m dt it carried before may differ from it in the last bit
+                          np.concatenate([maps[0]] + [x[1:] for x in maps[1:]]))
+    # a joined state's time is the trajectory's own; the segment's
+    # t0 + m dt may differ from it in the last bit
     assert np.allclose([s.t for s in oracle], traj.times, rtol=1e-15, atol=0.0)
     _assert_states_match(traj, oracle, traj.times)
+
+
+def test_global_continuation_projects_its_datum_once(monkeypatch):
+    mesh = build_two_phase_disk(3, 12, 0.5, 1.0)
+    ws = StokesWorkspace(mesh, PARAMS)
+    u0 = _swirl(mesh, ws)
+    calls, project = [], _ProjectionWorkspace.project
+    monkeypatch.setattr(_ProjectionWorkspace, "project",
+                        lambda self, fvec: calls.append(fvec) or project(self, fvec))
+    global_continue(u0, IterationConfig(dt=DT, horizon=1.5, smallness=10.0), PARAMS, workspace=ws)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("path", ["linear", "lagrangian"])
