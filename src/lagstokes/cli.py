@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,52 +31,42 @@ from .transmission import (MaterialParams, helmholtz_project, project_out_rigid,
 SUBCOMMANDS = ("solve-linear", "solve-nonlinear", "solve-global", "spectrum",
                "diagnose", "bootstrap-check", "transmission-test")
 
-# section -> key -> (default string, parser)
+# The [iteration] keys: the fields of IterationConfig, lower-cased, except
+# dt, which is set in [solver].
+_ITERATION_KEYS = {f.name.lower(): f for f in fields(IterationConfig) if f.name != "dt"}
+
+# section -> key -> (default, parser)
 _SCHEMA = {
     "mesh": {
-        "n_radial": ("3", int),
-        "n_angular": ("12", int),
-        "r_inner": ("0.5", float),
-        "r_outer": ("1.0", float),
+        "n_radial": (3, int),
+        "n_angular": (12, int),
+        "r_inner": (0.5, float),
+        "r_outer": (1.0, float),
     },
     "material": {
-        "eta_plus": ("2.0", float),
-        "eta_minus": ("1.0", float),
-        "mu_plus": ("0.3", float),
-        "mu_minus": ("0.1", float),
+        "eta_plus": (2.0, float),
+        "eta_minus": (1.0, float),
+        "mu_plus": (0.3, float),
+        "mu_minus": (0.1, float),
     },
     "solver": {
-        "dt": ("0.05", float),
-        "n_steps": ("100", int),
-        "spectrum_count": ("8", int),
-        "spectrum_shift": ("-0.1", float),
+        "dt": (0.05, float),
+        "n_steps": (100, int),
+        "spectrum_count": (8, int),
+        "spectrum_shift": (-0.1, float),
     },
-    "iteration": {
-        "p": ("2.0", float),
-        "q": ("4.0", float),
-        "horizon": ("1.0", float),
-        "l_bound": ("0.0", float),
-        "fp_tol": ("1e-11", float),
-        "max_iters": ("30", int),
-        "kappa_cap": ("0.5", float),
-        "eps0": ("0.0", float),
-        "c_cal": ("1.0", float),
-        "a_cal": ("1.0", float),
-        "contraction_target": ("0.9", float),
-        "min_steps": ("4", int),
-        "smallness": ("1.0", float),
-    },
+    "iteration": {key: (f.default, type(f.default)) for key, f in _ITERATION_KEYS.items()},
     "initial": {
         "kind": ("smooth-orthogonal", str),
-        "amplitude": ("0.05", float),
-        "rigid_index": ("0", int),
+        "amplitude": (0.05, float),
+        "rigid_index": (0, int),
     },
     "output": {
-        "snapshot_every": ("0", int),
+        "snapshot_every": (0, int),
     },
     "bootstrap": {
-        "a": ("0.05", float),
-        "b": ("1.0", float),
+        "a": (0.05, float),
+        "b": (1.0, float),
         "x_series": ("", str),
         "x_file": ("", str),
     },
@@ -84,7 +74,7 @@ _SCHEMA = {
         "input": ("", str),
     },
     "transmission": {
-        "levels": ("3", int),
+        "levels": (3, int),
     },
 }
 
@@ -118,15 +108,9 @@ class RunConfig:
 
     def iteration(self) -> IterationConfig:
         v = self.values["iteration"]
-        s = self.values["solver"]
         try:
-            return IterationConfig(
-                p=v["p"], q=v["q"], dt=s["dt"], horizon=v["horizon"],
-                L_bound=v["l_bound"], fp_tol=v["fp_tol"], max_iters=v["max_iters"],
-                kappa_cap=v["kappa_cap"], eps0=v["eps0"],
-                C_cal=v["c_cal"], a_cal=v["a_cal"],
-                contraction_target=v["contraction_target"],
-                min_steps=v["min_steps"], smallness=v["smallness"])
+            return IterationConfig(dt=self.values["solver"]["dt"],
+                                   **{f.name: v[key] for key, f in _ITERATION_KEYS.items()})
         except LagStokesError as exc:
             raise ValidationError(f"[iteration] {exc}", field="iteration") from exc
 
@@ -141,7 +125,7 @@ class RunConfig:
 
 
 def default_config() -> RunConfig:
-    values = {sec: {k: parse(default) for k, (default, parse) in keys.items()}
+    values = {sec: {k: default for k, (default, _) in keys.items()}
               for sec, keys in _SCHEMA.items()}
     return RunConfig(values=values)
 
@@ -305,45 +289,57 @@ def _write_trajectory(cfg: RunConfig, mesh: RefMesh, traj: Trajectory,
 
 def run_subcommand(cfg: RunConfig, name: str) -> int:
     """Dispatch one subcommand; writes artifacts into cfg.out_dir and
-    returns the process exit status."""
+    returns the process exit status.
+
+    The solve commands and ``spectrum`` share one set-up: the mesh, the
+    material parameters and the workspace, and for the solve commands the
+    initial datum.  Each handler returns its exit status and its own
+    manifest facts; the manifest gets ``subcommand`` here, ``mesh_hash``
+    where a mesh was set up, and the march facts of the solve commands.
+    """
     if name not in SUBCOMMANDS:
         raise ValidationError(f"unknown subcommand {name!r}", field="subcommand")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    handler = {
+    solves = {
         "solve-linear": _cmd_solve_linear,
         "solve-nonlinear": _cmd_solve_nonlinear,
         "solve-global": _cmd_solve_global,
-        "spectrum": _cmd_spectrum,
-        "diagnose": _cmd_diagnose,
-        "bootstrap-check": _cmd_bootstrap,
-        "transmission-test": _cmd_transmission_test,
-    }[name]
-    return handler(cfg)
+    }
+    facts = {"subcommand": name}
+    if name in solves or name == "spectrum":
+        mesh = cfg.mesh()
+        params = cfg.material()
+        ws = StokesWorkspace(mesh, params)
+        if name == "spectrum":
+            status, own = _cmd_spectrum(cfg, mesh, params, ws)
+        else:
+            u0 = build_initial(cfg, mesh, params, ws)
+            status, own = solves[name](cfg, mesh, params, ws, u0)
+            facts.update(_march_facts(ws, cfg[("solver", "dt")]))
+        facts["mesh_hash"] = mesh.mesh_hash()
+    else:
+        status, own = {
+            "diagnose": _cmd_diagnose,
+            "bootstrap-check": _cmd_bootstrap,
+            "transmission-test": _cmd_transmission_test,
+        }[name](cfg)
+    _write_manifest(cfg, {**facts, **own})
+    return status
 
 
-def _cmd_solve_linear(cfg: RunConfig) -> int:
-    mesh = cfg.mesh()
-    params = cfg.material()
-    ws = StokesWorkspace(mesh, params)
-    u0 = build_initial(cfg, mesh, params, ws)
+def _cmd_solve_linear(cfg: RunConfig, mesh: RefMesh, params: MaterialParams,
+                      ws: StokesWorkspace, u0: Field) -> tuple[int, dict]:
     # hold only the states the snapshots write
     traj = run_linear(u0, cfg[("solver", "n_steps")], cfg[("solver", "dt")],
                       params, workspace=ws,
                       keep_every=cfg[("output", "snapshot_every")] or None)
     _write_trajectory(cfg, mesh, traj, params, ws)
-    _write_manifest(cfg, {"subcommand": "solve-linear", "mesh_hash": mesh.mesh_hash(),
-                          "n_states": len(traj.times),
-                          **_march_facts(ws, cfg[("solver", "dt")])})
-    return 0
+    return 0, {"n_states": len(traj.times)}
 
 
-def _cmd_solve_nonlinear(cfg: RunConfig) -> int:
-    mesh = cfg.mesh()
-    params = cfg.material()
-    ws = StokesWorkspace(mesh, params)
-    u0 = build_initial(cfg, mesh, params, ws)
-    itcfg = cfg.iteration()
-    traj, report = picard_solve_local(u0, itcfg, params, workspace=ws)
+def _cmd_solve_nonlinear(cfg: RunConfig, mesh: RefMesh, params: MaterialParams,
+                         ws: StokesWorkspace, u0: Field) -> tuple[int, dict]:
+    traj, report = picard_solve_local(u0, cfg.iteration(), params, workspace=ws)
     _write_trajectory(cfg, mesh, traj, params, ws)
     # the first iterate has no contraction factor
     write_csv(cfg.out_dir / "iteration_report.csv", {
@@ -351,49 +347,35 @@ def _cmd_solve_nonlinear(cfg: RunConfig) -> int:
         "contraction_factor": np.array([float("nan")] + report.contraction_factors),
         "picard_distance": np.array(report.distances),
     })
-    _write_manifest(cfg, {"subcommand": "solve-nonlinear",
-                          "mesh_hash": mesh.mesh_hash(),
-                          "converged": report.converged,
-                          "horizon_used": report.horizon,
-                          "kappa_max": report.kappa_max,
-                          "residual": report.residual,
-                          **_march_facts(ws, itcfg.dt)})
-    return 0 if report.converged else 1
+    return 0 if report.converged else 1, {"converged": report.converged,
+                                          "horizon_used": report.horizon,
+                                          "kappa_max": report.kappa_max,
+                                          "residual": report.residual}
 
 
-def _cmd_solve_global(cfg: RunConfig) -> int:
-    mesh = cfg.mesh()
-    params = cfg.material()
-    ws = StokesWorkspace(mesh, params)
-    u0 = build_initial(cfg, mesh, params, ws)
-    basis = ws.rigid_basis()
-    moms = rigid_momenta(u0, basis, params)
+def _cmd_solve_global(cfg: RunConfig, mesh: RefMesh, params: MaterialParams,
+                      ws: StokesWorkspace, u0: Field) -> tuple[int, dict]:
+    moms = rigid_momenta(u0, ws.rigid_basis(), params)
     scale = max(fem.field_h1(u0), 1e-30)
     if np.abs(moms).max() > 1e-10 * scale:
         raise ValidationError(
             "initial datum violates the rigid-orthogonality hypothesis "
             f"(eta v0, p_alpha) = 0: max momentum {np.abs(moms).max():.3e}",
             field="initial.kind")
-    itcfg = cfg.iteration()
-    traj, report = global_continue(u0, itcfg, params, workspace=ws)
+    traj, report = global_continue(u0, cfg.iteration(), params, workspace=ws)
     _write_trajectory(cfg, mesh, traj, params, ws)
     write_csv(cfg.out_dir / "x_report.csv", {
         "time": report.times, "x": report.x_values,
         "bound": np.full(len(report.times), report.bound),
     })
     _write_segments(cfg, report)
-    _write_manifest(cfg, {"subcommand": "solve-global",
-                          "mesh_hash": mesh.mesh_hash(),
-                          "eps0": report.eps0,
-                          "decay_rate": report.decay_rate,
-                          "x_exceeded": report.exceeded,
-                          "momenta_drift": report.momenta_drift,
-                          "a_fit": report.a_fit, "b_fit": report.b_fit,
-                          **_march_facts(ws, itcfg.dt)})
     if report.exceeded:
         print("continuation failure: X(T) exceeded its bound", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if report.exceeded else 0, {"eps0": report.eps0,
+                                         "decay_rate": report.decay_rate,
+                                         "x_exceeded": report.exceeded,
+                                         "momenta_drift": report.momenta_drift,
+                                         "a_fit": report.a_fit, "b_fit": report.b_fit}
 
 
 def _write_segments(cfg: RunConfig, report) -> None:
@@ -412,10 +394,8 @@ def _write_segments(cfg: RunConfig, report) -> None:
     })
 
 
-def _cmd_spectrum(cfg: RunConfig) -> int:
-    mesh = cfg.mesh()
-    params = cfg.material()
-    ws = StokesWorkspace(mesh, params)
+def _cmd_spectrum(cfg: RunConfig, mesh: RefMesh, params: MaterialParams,
+                  ws: StokesWorkspace) -> tuple[int, dict]:
     rep = discrete_spectrum(mesh, params, cfg[("solver", "spectrum_count")], ws,
                             sigma=cfg[("solver", "spectrum_shift")], seed=cfg.seed)
     write_csv(cfg.out_dir / "spectrum.csv", {"eigenvalue": rep.eigenvalues})
@@ -425,12 +405,10 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
                                               if len(rep.principal_angles) else 0.0)]
     (cfg.out_dir / "spectrum_summary.txt").write_text("\n".join(summary) + "\n",
                                                       encoding="ascii")
-    _write_manifest(cfg, {"subcommand": "spectrum", "mesh_hash": mesh.mesh_hash(),
-                          "kernel_dim": rep.kernel_dim})
-    return 0
+    return 0, {"kernel_dim": rep.kernel_dim}
 
 
-def _cmd_diagnose(cfg: RunConfig) -> int:
+def _cmd_diagnose(cfg: RunConfig) -> tuple[int, dict]:
     src = cfg[("diagnose", "input")]
     if not src:
         raise ValidationError("diagnose.input must point at a run directory",
@@ -459,11 +437,10 @@ def _cmd_diagnose(cfg: RunConfig) -> int:
         summary.append("decay_halfwidth %.17g" % half)
     (cfg.out_dir / "diagnose_summary.txt").write_text("\n".join(summary) + "\n",
                                                       encoding="ascii")
-    _write_manifest(cfg, {"subcommand": "diagnose", "input": src})
-    return 0
+    return 0, {"input": src}
 
 
-def _cmd_bootstrap(cfg: RunConfig) -> int:
+def _cmd_bootstrap(cfg: RunConfig) -> tuple[int, dict]:
     a = cfg[("bootstrap", "a")]
     b = cfg[("bootstrap", "b")]
     series = cfg[("bootstrap", "x_series")]
@@ -488,11 +465,10 @@ def _cmd_bootstrap(cfg: RunConfig) -> int:
              "max_x %.17g" % verdict.max_x]
     (cfg.out_dir / "bootstrap_verdict.txt").write_text("\n".join(lines) + "\n",
                                                        encoding="ascii")
-    _write_manifest(cfg, {"subcommand": "bootstrap-check"})
-    return 0 if verdict.holds else 1
+    return 0 if verdict.holds else 1, {}
 
 
-def _cmd_transmission_test(cfg: RunConfig) -> int:
+def _cmd_transmission_test(cfg: RunConfig) -> tuple[int, dict]:
     params = cfg.material()
     base_r = cfg[("mesh", "n_radial")]
     base_a = cfg[("mesh", "n_angular")]
@@ -522,8 +498,7 @@ def _cmd_transmission_test(cfg: RunConfig) -> int:
         "h1_error": np.array(errors), "rate": np.array(rates),
         "stability_ratio": np.array(ratios),
     })
-    _write_manifest(cfg, {"subcommand": "transmission-test"})
-    return 0
+    return 0, {}
 
 
 def main(argv=None) -> int:

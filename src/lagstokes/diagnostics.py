@@ -93,10 +93,10 @@ def _lagrangian_dissipation(traj: Trajectory, mu_c: np.ndarray) -> np.ndarray:
 
 
 def energy_budget(traj: Trajectory, params: MaterialParams,
-                  workspace: StokesWorkspace | None = None,
-                  work: np.ndarray | None = None) -> ConservationReport:
+                  workspace: StokesWorkspace | None = None) -> ConservationReport:
     """Kinetic energy, dissipation and the per-step residual of the energy
-    identity d/dt (1/2 eta|u|^2) + 1/2 (mu D(u), D(u)) = work.
+    identity d/dt (1/2 eta|u|^2) + 1/2 (mu D(u), D(u)) = 0 of the forceless
+    problem.
 
     With a Lagrangian trajectory (cofactors present) the dissipation uses
     the transformed deformation tensor and the viscosity the trajectory was
@@ -116,9 +116,8 @@ def energy_budget(traj: Trajectory, params: MaterialParams,
             traj, params.mu_cells(mesh) if solved is None else solved.mu_cells)
     else:
         dissip = traj.series("dissipation", ws, ws.dissipation)
-    w = np.zeros(n) if work is None else np.asarray(work, dtype=float)
     residual = np.zeros(n)
-    residual[1:] = (energy[1:] - energy[:-1]) / dt + dissip[1:] - w[1:]
+    residual[1:] = (energy[1:] - energy[:-1]) / dt + dissip[1:]
     return ConservationReport(times=traj.times, energy=energy, dissipation=dissip,
                               residuals={"energy": residual})
 

@@ -90,21 +90,23 @@ def select_local_T(L: float, exps: ExponentSet, p: float, C_cal: float = 1.0) ->
 
 @dataclass
 class IterationConfig:
-    """Parameters of the fixed-point solver.
+    """Parameters of the fixed-point solver, and the one place their
+    defaults are written: the command line's ``[iteration]`` section is
+    made from these fields (``dt`` is set in ``[solver]``).
 
-    ``L_bound = 0`` measures the bound from the linear solve; ``eps0 = 0``
-    derives the decay weight from the discrete spectral gap.
+    What the solver measures is not a parameter: the bound L that sets each
+    local horizon is the trajectory norm of the segment's linear march, and
+    the decay weight eps0 of :func:`global_continue` is half the discrete
+    spectral gap.
     """
 
     p: float = 2.0
     q: float = 4.0
     dt: float = 0.05
     horizon: float = 1.0
-    L_bound: float = 0.0
     fp_tol: float = 1e-11
     max_iters: int = 30
     kappa_cap: float = 0.5
-    eps0: float = 0.0
     C_cal: float = 1.0
     a_cal: float = 1.0
     contraction_target: float = 0.9
@@ -482,12 +484,12 @@ def _fields(ws, xs: np.ndarray) -> tuple[Field, Field]:
     return fem.uvec_to_field(ws.mesh, xs[:, :ws.nu]), Field(ws.mesh, 1, xs[:, ws.nu:, None])
 
 
-def _trajectory(ws, times, xs, cofactors, maps, meta=None) -> Trajectory:
+def _trajectory(ws, times, xs, cofactors, maps) -> Trajectory:
     """The trajectory of a solution stack, with its kinetic-energy series."""
     uvecs = xs[:, :ws.nu]
     return Trajectory(times=times, uvecs=uvecs, q=Field(ws.mesh, 1, xs[:, ws.nu:, None]),
                       diagnostics={"energy": ws.kinetic_energy(uvecs)}, cofactors=cofactors,
-                      lagrangian_maps=maps, meta=meta or {}, workspace=ws)
+                      lagrangian_maps=maps, workspace=ws)
 
 
 @dataclass(frozen=True)
@@ -524,9 +526,7 @@ class _Segment:
             """Trajectory norm of the linear stack's steps 0..n, computed once."""
             return max(trajectory_norm(*_fields(self.ws, lin[:n + 1]), cfg.dt, cfg.p), 1e-12)
 
-        L = cfg.L_bound
-        if L <= 0:
-            L = lin_norm(n_cap)
+        L = lin_norm(n_cap)
         T = min(select_local_T(L, cfg.exponents, cfg.p, cfg.C_cal), cfg.horizon)
         n_steps = min(max(int(math.ceil(T / cfg.dt - 1e-12)), cfg.min_steps), n_cap, n_hor)
         halvings = 0
@@ -732,9 +732,12 @@ def global_continue(v0: Field, cfg: IterationConfig, params: MaterialParams,
         X(T) = || e^{eps0 t} (d_t w, w, grad w, grad^2 w) ||_{Lp(Lq)}
              + || e^{eps0 t} P ||_{Lp(W1)},    (w, P) = (u, q) - (u_L, q_L),
 
-    against the bound 2 * a_cal * ||v0||.  Requires rho0 = eta (piecewise
-    constant), zero external force, and eta-orthogonality of v0 to the
-    rigid motions (projected when violated beyond tolerance).
+    against the bound 2 * a_cal * ||v0||.  The decay weight eps0 is half the
+    discrete spectral gap (:func:`discrete_spectrum` for the rigid modes and
+    three more eigenvalues), reported as ``XReport.eps0``.  Requires
+    rho0 = eta (piecewise constant), zero external force, and
+    eta-orthogonality of v0 to the rigid motions (projected when violated
+    beyond tolerance).
 
     The datum is projected once; each segment starts from the previous
     segment's last velocity and bubble dofs with zero pressure.
@@ -754,10 +757,8 @@ def global_continue(v0: Field, cfg: IterationConfig, params: MaterialParams,
             f"initial datum norm {init_norm:.3e} exceeds the smallness bound "
             f"{cfg.smallness:.3e}", field="smallness")
 
-    eps0 = cfg.eps0
-    if eps0 <= 0:
-        from .diagnostics import discrete_spectrum
-        eps0 = 0.5 * discrete_spectrum(mesh, params, len(basis) + 3, ws).gap
+    from .diagnostics import decay_fit, discrete_spectrum, momentum_and_barycenter
+    eps0 = 0.5 * discrete_spectrum(mesh, params, len(basis) + 3, ws).gap
 
     # global linear reference from the same datum; the continuation stops
     # at its final step, the horizon rounded to the time grid
@@ -797,10 +798,8 @@ def global_continue(v0: Field, cfg: IterationConfig, params: MaterialParams,
             exceeded = True
 
     xs, cofactors, maps = (np.concatenate(stacks) for stacks in zip(*parts))
-    full = _trajectory(ws, cfg.dt * np.arange(n_done + 1), xs, cofactors, maps,
-                       {"eps0": eps0, "bound": bound})
+    full = _trajectory(ws, cfg.dt * np.arange(n_done + 1), xs, cofactors, maps)
 
-    from .diagnostics import decay_fit, momentum_and_barycenter
     vel = np.sqrt(np.maximum(2.0 * full.diagnostics["energy"], 1e-300))
     try:
         rate, _ = decay_fit(vel, cfg.dt)

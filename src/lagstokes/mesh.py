@@ -45,6 +45,9 @@ class RefMesh:
     ``trace_sdofs``, with the node normals ``trace_node_normals``, and
     facet traces at the cells ``trace_cells``, with the facet normals
     ``trace_facet_normals``.
+
+    The domain is a free droplet: there is no container wall, so the mesh
+    file's ``gamma_minus_facets`` block is always empty.
     """
 
     nodes: np.ndarray            # (nn, 2)
@@ -53,7 +56,6 @@ class RefMesh:
     interface_facets: np.ndarray  # (ni, 4): node0, node1, plus_cell, minus_cell
     outer_facets: np.ndarray     # (no, 3): node0, node1, cell
     outer_phase: int             # phase label of cells touching Gamma_plus
-    gamma_minus_facets: tuple = ()   # container-case wall; carried, unused
 
     # derived quantities, filled in __post_init__; not constructor arguments
     gamma_nodes: np.ndarray = dc_field(init=False, repr=False)
@@ -529,7 +531,7 @@ def write_mesh(mesh: RefMesh, path) -> None:
     lines += ["%d %d %d %d" % tuple(row) for row in mesh.interface_facets]
     lines.append(f"outer_facets {len(mesh.outer_facets)}")
     lines += ["%d %d %d" % tuple(row) for row in mesh.outer_facets]
-    lines.append(f"gamma_minus_facets {len(mesh.gamma_minus_facets)}")
+    lines.append("gamma_minus_facets 0")   # the container-case wall block, always empty
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

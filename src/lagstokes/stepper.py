@@ -631,7 +631,6 @@ class Trajectory:
     diagnostics: dict = dc_field(default_factory=dict)
     cofactors: np.ndarray | None = None
     lagrangian_maps: np.ndarray | None = None
-    meta: dict = dc_field(default_factory=dict)
     workspace: StokesWorkspace | None = None
     steps: np.ndarray | None = None
 

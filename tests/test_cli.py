@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lagstokes import cli
 from lagstokes.cli import _SCHEMA, main, parse_config, run_subcommand
 from lagstokes.errors import ConfigParseError, ValidationError
+from lagstokes.fixedpoint import IterationConfig
 from lagstokes.mesh import build_two_phase_disk
 from lagstokes.snapshots import read_csv, read_field, write_csv, write_field
 from lagstokes.mesh import Field
@@ -44,6 +47,34 @@ def test_unknown_key_and_section_rejected(tmp_path):
     with pytest.raises(ValidationError) as err2:
         parse_config(write_cfg(tmp_path, "[meshes]\nn_radial = 3\n"))
     assert "meshes" in str(err2.value)
+
+
+# every [iteration] key is a field of IterationConfig, lower-cased; dt is
+# set in [solver]
+ITERATION_FIELDS = [f for f in dataclasses.fields(IterationConfig) if f.name != "dt"]
+
+
+def test_iteration_section_is_the_fields_of_iteration_config():
+    assert {f.name.lower(): f.default for f in ITERATION_FIELDS} == \
+        {key: default for key, (default, _) in _SCHEMA["iteration"].items()}
+
+
+@pytest.mark.parametrize("field", ITERATION_FIELDS, ids=lambda f: f.name)
+def test_iteration_key_reaches_its_field(tmp_path, field):
+    # a value off the default that IterationConfig accepts
+    value = field.default + 1 if isinstance(field.default, int) else 1.5 * field.default
+    cfg = parse_config(write_cfg(tmp_path, f"[iteration]\n{field.name.lower()} = {value!r}\n"))
+    itcfg = cfg.iteration()
+    assert getattr(itcfg, field.name) == value != field.default
+    assert itcfg.dt == cfg[("solver", "dt")]
+
+
+@pytest.mark.parametrize("key, value", [("eps0", "0.1"), ("l_bound", "1.0")])
+def test_measured_values_are_not_keys(tmp_path, key, value):
+    # the decay weight and the local bound are measured by the solver
+    with pytest.raises(ValidationError) as err:
+        parse_config(write_cfg(tmp_path, f"[iteration]\n{key} = {value}\n"))
+    assert err.value.field == f"iteration.{key}"
 
 
 def test_positivity_validation(tmp_path):

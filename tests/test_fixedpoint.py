@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 
 from lagstokes import fem, fixedpoint, kernel
+from lagstokes.diagnostics import discrete_spectrum
 from lagstokes.errors import DomainError, GeometryError, ParameterError, ValidationError
 from lagstokes.fixedpoint import (IterationConfig, compute_nonlinear_terms,
                                   cutoff_extension, extension_reflect,
                                   fit_x_recursion, global_continue,
                                   picard_solve_local, select_local_T,
                                   sigma_exponents, stability_probe,
-                                  weighted_lp_norm)
+                                  trajectory_norm, weighted_lp_norm)
 from lagstokes.mesh import Field, build_two_phase_disk
 from lagstokes.stepper import StokesWorkspace
-from lagstokes.transmission import MaterialParams, project_out_rigid, rigid_momenta
+from lagstokes.transmission import (MaterialParams, helmholtz_project, project_out_rigid,
+                                   rigid_momenta)
 
 PARAMS = MaterialParams(2.0, 1.0, 0.3, 0.1)
 
@@ -305,6 +307,17 @@ def test_picard_ball_property(mesh, ws):
     assert rep.ball_norm <= rep.L_bound
 
 
+def test_picard_bound_is_the_linear_trajectory_norm(mesh, ws):
+    # L is measured, bit for bit: the trajectory norm of the linear march
+    # from the projected datum over n_cap = min(horizon, 1) / dt = 10 steps
+    cfg = IterationConfig(dt=0.05, horizon=0.5)
+    v0 = smooth_datum(mesh, ws, 0.05)
+    _, rep = picard_solve_local(v0, cfg, PARAMS, workspace=ws)
+    lin = ws.march(cfg.dt, ws.state_vector(helmholtz_project(v0, PARAMS, ws)[0]), 10)
+    u, q = fem.uvec_to_field(mesh, lin[:, :ws.nu]), Field(mesh, 1, lin[:, ws.nu:, None])
+    assert rep.L_bound == trajectory_norm(u, q, cfg.dt, cfg.p)
+
+
 def test_stability_probe_identical_inputs(mesh, ws):
     cfg = IterationConfig(dt=0.05, horizon=0.4)
     v0 = smooth_datum(mesh, ws, 0.05)
@@ -439,6 +452,15 @@ def test_global_small_datum_decays(mesh, ws):
     assert rep.momenta_drift <= 1e-4
     # Lagrangian momenta stay near zero along the run
     assert abs(traj.times[-1] - 3.0) < 1e-9
+
+
+def test_global_decay_weight_is_half_the_spectral_gap(mesh, ws):
+    # eps0 is measured, bit for bit: half the gap of the spectrum of the
+    # rigid modes and three more eigenvalues
+    cfg = IterationConfig(dt=0.05, horizon=0.5, smallness=10.0)
+    _, rep = global_continue(smooth_datum(mesh, ws, 0.02), cfg, PARAMS, workspace=ws)
+    assert len(ws.rigid_basis()) + 3 == 6
+    assert rep.eps0 == 0.5 * discrete_spectrum(mesh, PARAMS, 6, ws).gap
 
 
 @pytest.mark.parametrize("horizon", [1.1, 2.05])
