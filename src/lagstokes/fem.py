@@ -522,11 +522,14 @@ class Factorized:
     diagonal pivots in a symmetric fill-reducing order: such a matrix
     needs no pivoting for stability (Vanderbei, SIAM J. Optim. 5, 1995),
     and the symmetric order keeps the fill far below that of a pivoted LU.
+    Relaxed supernodes are off (``relax=1``): they pad such a factor with
+    explicit zeros, 9% of the 24x96 step factor's entries and 43% at 2x40,
+    and the padded factor solves no faster.
     """
 
     def __init__(self, matrix: sp.spmatrix, quasi_definite: bool = False):
         self.matrix = matrix.tocsc()
-        options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1,
                        options={"SymmetricMode": True}) if quasi_definite else {}
         try:
             self._lu = spla.splu(self.matrix, **options)
@@ -535,9 +538,10 @@ class Factorized:
 
     @property
     def fill(self) -> int:
-        """Stored entries of the L and U factors, SuperLU's count (its
-        supernodal L counts each supernode's dense block); reading it makes
-        no copy of the factors."""
+        """Stored entries of the L and U factors, SuperLU's count; reading
+        it makes no copy of the factors.  A quasi-definite factor stores no
+        padding, so this is ``L.nnz + U.nnz``; a pivoted factor's relaxed
+        supernodes store their dense blocks."""
         return self._lu.nnz
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -703,11 +707,11 @@ class CondensedSaddle(Factorized):
     a 2-vCPU Xeon with 4 MiB of L2 cache per core:
 
         mesh   rows   SuperLU   dense
-        3x12    231     34 us    14 us
-        2x24    315     54       25
-        4x16    403     82       42
-        5x20    623    156      176
-        6x24    891    181      766
+        3x12    231     32 us    12 us
+        2x24    315     39       21
+        4x16    403     55       33
+        5x20    623     89      171
+        6x24    891    132      764
 
     The dense product slows down sharply once the inverse outgrows the L2
     cache.

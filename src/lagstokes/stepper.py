@@ -65,8 +65,10 @@ _KORN_SHIFT = -0.1
 # A step factor with at least this many stored entries (Factorized.fill)
 # runs the march's two chains on two threads, when two CPUs are usable.
 # Threaded over one-thread time of a 200-step march, one BLAS thread on two
-# vCPUs, over several sessions: 6x24 (fill 0.12M) 1.15-1.35, 12x48 (0.50M)
-# 0.78-1.07, 14x56 (0.73M) 0.77-0.92, 16x64 (1.0M) 0.77.
+# vCPUs, medians of 6 and of 10 alternating pairs: 6x24 (fill 0.077M)
+# 1.21-1.33, 12x48 (0.43M) 0.97-0.98, 14x56 (0.64M) 0.79-0.85, 16x64 (0.89M)
+# 0.79-0.86.  14x56 stays on the pair loop: on other days its ratio read up
+# to 0.92, a thin margin on a loaded host.
 TWO_THREAD_MIN_FILL = 750_000
 # Hand-overs the worker of the two-thread step loop may run ahead by.
 _HANDOFF_DEPTH = 4

@@ -177,9 +177,12 @@ def test_two_layer_meshes_march_on_the_pivoted_dense_core(shape):
 
 @pytest.mark.parametrize("shape, core", [((3, 12), "dense"), ((2, 24), "dense"),
                                          ((4, 16), "dense"), ((6, 24), "superlu"),
-                                         ((12, 48), "superlu")],
-                         ids=["3x12", "2x24", "4x16", "6x24", "12x48"])
+                                         ((12, 48), "superlu"), ((2, 40), "superlu"),
+                                         ((2, 48), "superlu")],
+                         ids=["3x12", "2x24", "4x16", "6x24", "12x48", "2x40", "2x48"])
 def test_gate_picks_the_core_by_condensed_size(shape, core):
+    # two radial layers per phase above the gate (523 and 627 rows) factor on
+    # SuperLU and pass its probe
     lu = StokesWorkspace(build_two_phase_disk(*shape, 0.5, 1.0), PARAMS).step_factorization(0.05)
     assert lu.core == core
     assert (lu.n_condensed <= fem.DENSE_CORE_MAX_ROWS) == (core == "dense")
@@ -189,6 +192,9 @@ def test_gate_picks_the_core_by_condensed_size(shape, core):
     assert sp.tril(L, -1).nnz + sp.triu(U).nnz + lu.n_condensed == L.nnz + U.nnz
     if core == "dense":
         assert np.array_equal(L.diagonal(), np.ones(lu.n_condensed))
+    else:
+        # no relaxed supernodes, so SuperLU stores no padding zeros
+        assert lu.fill == L.nnz + U.nnz
 
 
 @pytest.mark.parametrize("dt", DTS)

@@ -22,8 +22,10 @@ N_STEPS = 12
 DTS = (1e-3, 0.05, 1.0)
 
 
-@pytest.fixture(scope="module", params=[(3, 12), (6, 24), (12, 48)],
-                ids=["3x12", "6x24", "12x48"])
+MESHES, MESH_IDS = [(3, 12), (6, 24), (12, 48)], ["3x12", "6x24", "12x48"]
+
+
+@pytest.fixture(scope="module", params=MESHES, ids=MESH_IDS)
 def ws(request):
     return StokesWorkspace(build_two_phase_disk(*request.param, 0.5, 1.0), PARAMS)
 
@@ -62,11 +64,14 @@ def test_march_matches_refined_step_loop(ws, dt):
 
 
 @pytest.mark.parametrize("dt", DTS)
+@pytest.mark.parametrize("ws", MESHES + [(2, 40), (2, 48)], ids=MESH_IDS + ["2x40", "2x48"],
+                         indirect=True)
 def test_every_delivered_step_is_refined(ws, dt):
     # each step against the right-hand side built from the delivered previous
     # step: the componentwise backward error of a refined solve is a few units
     # of roundoff, which neither an unrefined step nor a refinement against the
-    # unrefined previous state reaches on every mesh and dt
+    # unrefined previous state reaches on every mesh and dt; 2x40 and 2x48, two
+    # radial layers per phase, march on the unpivoted SuperLU core
     x0, loads = random_problem(ws, 6)
     xs = ws.march(dt, x0, N_STEPS, lambda m: loads[m])
     lu = ws.step_factorization(dt)

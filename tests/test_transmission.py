@@ -290,6 +290,13 @@ def test_projection_matches_dense_mixed_solve(n):
     assert np.linalg.norm(pf.plus().ravel() - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+def test_projection_factors_hold_no_padding():
+    # no relaxed supernodes, so SuperLU stores only the nonzeros of L and U
+    projection = StokesWorkspace(build_two_phase_disk(6, 24, 0.5, 1.0), PARAMS).projection
+    for lu in (projection._mass_lu, projection._precond_lu):
+        assert lu.fill == lu._lu.L.nnz + lu._lu.U.nnz
+
+
 def test_projection_cg_non_convergence_raises(mesh, monkeypatch):
     monkeypatch.setattr(transmission, "_PROJECTION_MAX_ITER", 2)
     f = Field.from_nodal(mesh, np.random.default_rng(9).standard_normal((mesh.n_nodes, 2)))
